@@ -27,6 +27,7 @@
 *)
 
 module E = Lightvm.Experiment
+module Prefix = Lightvm.Prefix
 module Pool = Lightvm_sim.Pool
 module Series = Lightvm_metrics.Series
 module Table = Lightvm_metrics.Table
@@ -382,33 +383,38 @@ let snapshot_pair_rows =
     "fork pays thaw + the suffix; cold re-simulates the whole prefix";
   (* Earlier experiments may have cached overlapping images; reset so
      the pair measures a true build. *)
-  E.prefix_cache_reset ();
-  let g0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let cold = E.scale_cold_full ~n ~extra in
-  let t1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
-  let prefix_secs = E.scale_prefix_warm ~n in
-  let g2 = Gc.quick_stat () in
-  let t2 = Unix.gettimeofday () in
-  let fork = E.scale_fork_suffix ~n ~extra in
-  let t3 = Unix.gettimeofday () in
-  let g3 = Gc.quick_stat () in
-  let identical =
-    Series.points cold.E.series = Series.points fork.E.series
-  in
-  print_series [ cold; fork ];
-  Printf.printf
-    "[snapshot-cold: %.2f s | snapshot-fork: %.2f s + %.2f s prefix build \
-     | curves identical: %b | speedup on suffix: %.1fx]\n"
-    (t1 -. t0) (t3 -. t2) prefix_secs identical
-    ((t1 -. t0) /. Float.max 1e-9 (t3 -. t2));
-  if not identical then
-    failwith "snapshot bench: fork and cold curves diverge";
-  [
-    ("snapshot-cold", 1, t1 -. t0, t1 -. t0, 0., gc_delta g0 g1);
-    ("snapshot-fork", 1, t3 -. t2, t3 -. t2, prefix_secs, gc_delta g2 g3);
-  ]
+  Prefix.reset ();
+  match E.fork ~n:extra (Printf.sprintf "scale:chaos-xs@%d" n) with
+  | Error msg -> failwith ("snapshot bench: " ^ msg)
+  | Ok (E.Fork { prefix; suffix }) ->
+      let row (_, p) = List.hd p.E.p_series in
+      let g0 = Gc.quick_stat () in
+      let t0 = Unix.gettimeofday () in
+      let cold = row (Prefix.run ~snapshot:false prefix suffix) in
+      let t1 = Unix.gettimeofday () in
+      let g1 = Gc.quick_stat () in
+      ignore (Prefix.image prefix);
+      let prefix_secs = Unix.gettimeofday () -. t1 in
+      let g2 = Gc.quick_stat () in
+      let t2 = Unix.gettimeofday () in
+      let fork = row (Prefix.run ~snapshot:true prefix suffix) in
+      let t3 = Unix.gettimeofday () in
+      let g3 = Gc.quick_stat () in
+      let identical =
+        Series.points cold.E.series = Series.points fork.E.series
+      in
+      print_series [ cold; fork ];
+      Printf.printf
+        "[snapshot-cold: %.2f s | snapshot-fork: %.2f s + %.2f s prefix \
+         build | curves identical: %b | speedup on suffix: %.1fx]\n"
+        (t1 -. t0) (t3 -. t2) prefix_secs identical
+        ((t1 -. t0) /. Float.max 1e-9 (t3 -. t2));
+      if not identical then
+        failwith "snapshot bench: fork and cold curves diverge";
+      [
+        ("snapshot-cold", 1, t1 -. t0, t1 -. t0, 0., gc_delta g0 g1);
+        ("snapshot-fork", 1, t3 -. t2, t3 -. t2, prefix_secs, gc_delta g2 g3);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Serverless SLO headline: the warm-pool-vs-cold-boot p99 comparison

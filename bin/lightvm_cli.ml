@@ -308,8 +308,7 @@ let run_snapshot key n partition sim_jobs out =
   | None ->
       (* No key: list what this scale would snapshot. *)
       List.iter
-        (fun p ->
-          Printf.printf "%-28s %s\n" p.E.prefix_key p.E.prefix_describe)
+        (fun (key, describe) -> Printf.printf "%-28s %s\n" key describe)
         (E.prefixes ?n ~partition ~sim_jobs ())
   | Some key -> (
       match
@@ -321,7 +320,7 @@ let run_snapshot key n partition sim_jobs out =
           Printf.eprintf "snapshot failed: %s\n" msg;
           Printf.eprintf "known prefixes at this scale:\n";
           List.iter
-            (fun p -> Printf.eprintf "  %s\n" p.E.prefix_key)
+            (fun (key, _) -> Printf.eprintf "  %s\n" key)
             (E.prefixes ?n ~partition ~sim_jobs ());
           exit 1)
 
@@ -366,7 +365,9 @@ let resume_cmd =
     "Resume a snapshot and run the suffix its stored key implies: \
      scale images are extended by -n more creations, fleet images run \
      their second fan-out wave, reliability images run an -n-attempt \
-     fault-injection cell, drain images drain host 0. A resumed run \
+     fault-injection cell, cluster and cluster-scale drain images drain \
+     host 0, serverless warm images run an -n-request warm-pool cell \
+     and serverless-day images run an -n-request fleet day. A resumed run \
      renders bit-identically to the unbroken simulation; header \
      mismatches (foreign file, other format version, other binary) are \
      refused with the structured reason."

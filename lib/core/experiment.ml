@@ -19,7 +19,6 @@ module Snap = Lightvm_sim.Checkpoint
 module Vmm = Lightvm_cluster.Vmm
 module Scheduler = Lightvm_cluster.Scheduler
 module Cluster = Lightvm_cluster.Cluster
-module Switch = Lightvm_net.Switch
 module Machine = Lightvm_container.Machine
 module Docker = Lightvm_container.Docker
 module Process = Lightvm_container.Process
@@ -83,18 +82,31 @@ let partition_of_string = function
       Error
         (Printf.sprintf "unknown partition mode %S (expected host or none)" s)
 
-let lookahead = Switch.default_latency
+let lookahead = Prefix.lookahead
 
-(* [run_sim] for partitioned families: [f] starts in partition 0. *)
-let run_sim_partitioned ~jobs ~partitions f =
-  let result = ref None in
-  ignore
-    (Engine.run_partitioned ~jobs ~lookahead ~partitions (fun () ->
-         result := Some (f ());
-         Engine.stop ()));
-  match !result with
-  | Some r -> r
-  | None -> failwith "simulation did not complete"
+(* Host [h]'s partition: its own ([h + 1]) with [`Host], the global
+   one with [`None]. *)
+let host_partition partition h =
+  match partition with `Host -> h + 1 | `None -> 0
+
+(* The engine a [hosts]-host family runs on. *)
+let hosts_shape partition ~sim_jobs ~hosts =
+  match partition with
+  | `Host -> Prefix.Partitioned { jobs = sim_jobs; partitions = hosts }
+  | `None -> Prefix.Plain
+
+(* [run_sim] for the multi-host families: [f] starts in partition 0. *)
+let run_sim_hosts partition ~sim_jobs ~hosts f =
+  match partition with
+  | `None -> run_sim f
+  | `Host ->
+      let result = ref None in
+      ignore
+        (Engine.run_partitioned ~jobs:sim_jobs ~lookahead ~partitions:hosts
+           (fun () ->
+             result := Some (f ());
+             Engine.stop ()));
+      Option.get !result
 
 (* Fan out one process per host — host [h] in partition [part_of h] —
    and block (in partition 0) until all complete. Dispatch and the
@@ -199,86 +211,31 @@ let series_of_jobs jobs =
   List.concat_map (fun p -> p.p_series) (run_jobs jobs)
 
 (* ------------------------------------------------------------------ *)
-(* Experiment-level prefix caching.
+(* Shared boot prefixes.
 
    Several families boot the same population before diverging — every
    reliability cell of a mode warms the same host, the cluster drain
-   job boots the same guests the fault sweep then migrates, a scale
-   curve to 5000 guests is an exact event prefix of the curve to
-   10,000. With checkpoint/restore ({!Lightvm_sim.Engine.run_capture} /
-   [resume] plus {!Lightvm_sim.Checkpoint}) each distinct prefix is
-   simulated once per process invocation, frozen to bytes, and every
-   consumer thaws its own deep copy and runs only its suffix. Thawing
-   from the shared bytes is what isolates forks: each [Snap.thaw] is a
-   fresh copy of the whole model graph, so two variants resumed from
-   one image never see each other's state, even on different Pool
-   worker domains.
+   job boots the guests the fault sweep then migrates, a scale curve to
+   5000 guests is an exact event prefix of the curve to 10,000. Each
+   such family declares its prefix as a {!Prefix.t} and runs its suffix
+   through {!Prefix.run}: the prefix is simulated once per invocation
+   and every consumer forks a thawed copy. The catalogue at the end of
+   this file makes every prefix addressable by key for snapshot and
+   resume. *)
 
-   Correctness bar (pinned in test/test_checkpoint.ml): a suffix run
-   from a thawed image renders bit-identically to the unbroken
-   simulation that runs prefix and suffix in one piece — the
-   [~snapshot:false] paths below keep the unbroken bodies alive
-   precisely so the equality stays testable.
+(* A family job's piece from its prefix's snapshot path, carrying the
+   wall time spent on the prefix. *)
+let forked prefix suffix =
+  let prefix_seconds, p = Prefix.run ~snapshot:true prefix suffix in
+  { p with p_prefix_seconds = prefix_seconds }
 
-   The cache is keyed by the prefix's config string ("scale:chaos-xs@
-   2000", "reliability:xl", ...) and shared across Pool worker domains:
-   the first toucher builds, concurrent touchers wait on the condition
-   variable, later touchers get the frozen bytes for free. *)
-
-let wall = Unix.gettimeofday
-
-(* Cache-internal failures (a prefix that cannot quiesce is a bug, not
-   an expected outcome) surface as exceptions; the file-level
-   snapshot/resume API below returns [result] instead. *)
-let snap_err label = function
-  | Ok v -> v
-  | Error e -> failwith (label ^ ": " ^ Snap.error_to_string e)
-
-type prefix_state = Building | Ready of string
-
-let prefix_lock = Mutex.create ()
-let prefix_cond = Condition.create ()
-let prefix_tbl : (string, prefix_state) Hashtbl.t = Hashtbl.create 16
-
-(* Frozen image bytes for [key], built by [build] at most once per
-   invocation (and per [prefix_cache_reset]). [build] runs outside the
-   lock: a chained build (the 10k scale image extending the 5k one)
-   re-enters for its parent key without deadlocking. *)
-let prefix_image ~key build =
-  let rec get () =
-    match Hashtbl.find_opt prefix_tbl key with
-    | Some (Ready bytes) ->
-        Mutex.unlock prefix_lock;
-        bytes
-    | Some Building ->
-        Condition.wait prefix_cond prefix_lock;
-        get ()
-    | None -> (
-        Hashtbl.replace prefix_tbl key Building;
-        Mutex.unlock prefix_lock;
-        match build () with
-        | bytes ->
-            Mutex.lock prefix_lock;
-            Hashtbl.replace prefix_tbl key (Ready bytes);
-            Condition.broadcast prefix_cond;
-            Mutex.unlock prefix_lock;
-            bytes
-        | exception e ->
-            Mutex.lock prefix_lock;
-            Hashtbl.remove prefix_tbl key;
-            Condition.broadcast prefix_cond;
-            Mutex.unlock prefix_lock;
-            raise e)
-  in
-  Mutex.lock prefix_lock;
-  get ()
-
-(* Drop every cached image (tests and cold-path benchmarks). Callers
-   must not race this with in-flight builds. *)
-let prefix_cache_reset () =
-  Mutex.lock prefix_lock;
-  Hashtbl.reset prefix_tbl;
-  Mutex.unlock prefix_lock
+(* A family's fault spec: the given one, or its default string parsed. *)
+let spec_or ~default = function
+  | Some s -> s
+  | None -> (
+      match Fault.parse_spec default with
+      | Ok s -> s
+      | Error m -> invalid_arg ("default fault spec: " ^ m))
 
 (* CLI-safe slugs for mode names ("chaos [XS]" -> "chaos-xs"), used in
    prefix keys and the snapshot/resume grammar. *)
@@ -510,24 +467,29 @@ let scale_counts n =
    default counts). Sampling is per count: ~20 points plus first and
    last, as before.
 
-   With [~snapshot:true] (the plan default) the pass is materialised as
-   a chain of checkpoint images — the host booted to 2000 guests, that
-   image extended to 5000, that one to 10,000 — each boundary simulated
-   once per invocation ({!prefix_image}) and reusable by anything that
-   wants a host at that population: the curve render, the fork-vs-cold
-   bench pair, a [snapshot] written to disk. [~snapshot:false] keeps
-   the unbroken single-run body; test/test_checkpoint.ml pins that both
-   paths render bit-identically. *)
+   The pass is materialised as a chain of prefixes — the host booted
+   to 2000 guests, extended to 5000, extended to 10,000 — each boundary
+   simulated once per invocation and reusable by anything that wants a
+   host at that population: the curve render, the fork-vs-cold bench
+   pair, a [snapshot] written to disk. *)
 
 (* Create guests [from+1 .. upto] on [host], recording create+boot
-   latency per guest. The shared creation loop of both paths: the
-   resumed suffix continues exactly where the captured prefix left
-   off. *)
+   latency per guest. *)
 let scale_create_range host lat ~from ~upto =
   for i = from + 1 to upto do
     let _vm, t_create, t_boot = launch_timed host ~nics:1 Image.daytime in
     lat.(i - 1) <- t_create +. t_boot
   done
+
+(* Grow the host's population to [upto] guests: the step of the boot,
+   every chain extension and the resume suffix alike, so each continues
+   exactly where the last left off. *)
+let scale_grow (host, lat_prev) ~upto =
+  let from = Array.length lat_prev in
+  let lat = Array.make upto nan in
+  Array.blit lat_prev 0 lat 0 from;
+  scale_create_range host lat ~from ~upto;
+  (host, lat)
 
 let scale_curve_rows ~mode ~counts lat =
   List.map
@@ -542,67 +504,28 @@ let scale_curve_rows ~mode ~counts lat =
       { label; series })
     counts
 
-let scale_mode_lat_unbroken ~mode top =
-  let lat = Array.make top nan in
-  run_sim (fun () ->
-      let host = Vmm.create ~mode () in
-      if mode.Mode.split then
-        Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
-      scale_create_range host lat ~from:0 ~upto:top);
-  lat
-
-let scale_prefix_key ~mode count =
+let scale_key (mode, count) =
   Printf.sprintf "scale:%s@%d" (mode_slug mode) count
 
-(* The frozen image of a host booted to [count] guests, chained through
-   the smaller boundaries in [bounds]. The image payload is
-   [(Engine.saved, (host, lat))]: engine heap state plus the model root
-   and the latencies recorded so far — one marshalled value, so the
-   heap thunks and the host they close over stay shared on thaw. *)
-let rec scale_image ~mode ~bounds count =
-  prefix_image ~key:(scale_prefix_key ~mode count) (fun () ->
-      let prev =
-        List.fold_left (fun a c -> if c < count then max a c else a) 0 bounds
-      in
-      if prev = 0 then (
-        let lat = Array.make count nan in
-        let host = ref None in
-        let _clock, saved =
-          Engine.run_capture (fun () ->
-              let h = Vmm.create ~mode () in
-              if mode.Mode.split then
-                Vmm.prefill_pool h Image.daytime ~nics:1 ~disks:0;
-              host := Some h;
-              scale_create_range h lat ~from:0 ~upto:count;
-              Engine.stop ())
-        in
-        snap_err "scale image" (Snap.freeze (saved, (Option.get !host, lat))))
-      else
-        let bytes = scale_image ~mode ~bounds prev in
-        let ((saved : Engine.saved), ((host : Vmm.t), lat_prev)) =
-          snap_err "scale image" (Snap.thaw bytes)
-        in
-        let lat = Array.make count nan in
-        Array.blit lat_prev 0 lat 0 prev;
-        let _clock, saved =
-          Engine.resume_capture saved (fun () ->
-              scale_create_range host lat ~from:prev ~upto:count;
-              Engine.stop ())
-        in
-        snap_err "scale image" (Snap.freeze (saved, (host, lat))))
-
-(* [(prefix_seconds, rows)] for one mode's merged curve. *)
-let scale_mode_merged ~snapshot ~counts mode =
-  let top = List.fold_left max 1 counts in
-  if not snapshot then
-    (0., scale_curve_rows ~mode ~counts (scale_mode_lat_unbroken ~mode top))
-  else
-    let t0 = wall () in
-    let bytes = scale_image ~mode ~bounds:counts top in
-    let ((_ : Engine.saved), ((_ : Vmm.t), lat)) =
-      snap_err "scale image" (Snap.thaw bytes)
-    in
-    (wall () -. t0, scale_curve_rows ~mode ~counts lat)
+(* A host booted to [count] guests, chained through the largest default
+   count below it. *)
+let rec scale_prefix (mode, count) =
+  let key = scale_key (mode, count)
+  and describe =
+    Printf.sprintf "one %s host booted to %d daytime guests" (Mode.name mode)
+      count
+  in
+  match List.filter (fun c -> c < count) scale_default_counts with
+  | [] ->
+      Prefix.boot ~key ~describe (fun () ->
+          let host = Vmm.create ~mode () in
+          if mode.Mode.split then
+            Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
+          scale_grow (host, [||]) ~upto:count)
+  | below ->
+      Prefix.extend ~key ~describe
+        (scale_prefix (mode, List.fold_left max 0 below))
+        (scale_grow ~upto:count)
 
 (* The partitioned row: the same total population brought up as a fleet
    of [scale_partition_hosts] identical chaos [XS] hosts, each creating
@@ -613,59 +536,53 @@ let scale_mode_merged ~snapshot ~counts mode =
    and at any [sim_jobs] (the per-host streams never interact).
 
    The bring-up runs as two fan-out waves with a barrier between them;
-   the wave boundary is the row's snapshot point, so the partitioned
-   capture/resume path has a well-defined unbroken twin: the
-   [~snapshot:false] body runs both waves in one simulation, the
-   [~snapshot:true] body captures every partition's state after wave 1
-   ({!Engine.run_partitioned_capture}), freezes it, and resumes a
-   thawed copy for wave 2 — same barrier, same events, bit-identical
-   series across the whole jobs x partition matrix
-   (test/test_checkpoint.ml). *)
+   the wave boundary is the row's prefix point, so the partitioned
+   prefix captures every partition's state after wave 1 and the suffix
+   runs wave 2 — same barrier, same events, bit-identical series across
+   the whole jobs x partition matrix (test/test_checkpoint.ml). *)
 let scale_partition_hosts = 8
-
-let fleet_prefix_key ~partition ~sim_jobs total =
-  Printf.sprintf "scale-fleet:%s/j%d@%d" (partition_name partition) sim_jobs
-    total
 
 (* One wave: every host creates guests [from+1 .. upto] of its share,
    concurrently, in its own partition when [`Host]. *)
 let fleet_wave ~partition nodes lat ~from ~upto =
-  let hosts = Array.length nodes in
-  fan_out_hosts ~hosts
-    ~part_of:(fun h -> match partition with `Host -> h + 1 | `None -> 0)
+  fan_out_hosts ~hosts:(Array.length nodes) ~part_of:(host_partition partition)
     (fun h -> scale_create_range nodes.(h) lat.(h) ~from ~upto)
 
 (* [sim_jobs] is part of the key only to keep determinism tests honest:
    the bytes are the same for every worker count, but a cache hit would
    short-circuit the re-simulation the jobs-matrix tests exist to
    exercise. *)
-let fleet_image ~partition ~sim_jobs ~hosts ~per ~per1 =
-  prefix_image
-    ~key:(fleet_prefix_key ~partition ~sim_jobs (hosts * per))
-    (fun () ->
-      let lat = Array.make_matrix hosts per nan in
-      let nodes = ref [||] in
-      let body () =
-        nodes :=
-          Array.init hosts (fun i ->
-              Vmm.create ~host_id:i ~mode:Mode.chaos_xs ());
-        fleet_wave ~partition !nodes lat ~from:0 ~upto:per1;
-        Engine.stop ()
-      in
-      let saved =
-        match partition with
-        | `Host ->
-            snd
-              (Engine.run_partitioned_capture ~jobs:sim_jobs ~lookahead
-                 ~partitions:hosts body)
-        | `None -> snd (Engine.run_capture body)
-      in
-      snap_err "fleet image" (Snap.freeze (saved, (!nodes, lat))))
+let fleet_key (partition, sim_jobs, total) =
+  Printf.sprintf "scale-fleet:%s/j%d@%d" (partition_name partition) sim_jobs
+    total
 
-let fleet_row_render ~hosts ~per lat =
-  let total = hosts * per in
+(* Wave 1: [total] guests over the fleet, half of each host's share up. *)
+let fleet_prefix ((partition, sim_jobs, total) as k) =
+  let hosts = scale_partition_hosts in
+  let per = total / hosts in
+  let per1 = max 1 (per / 2) in
+  Prefix.boot ~key:(fleet_key k)
+    ~describe:
+      (Printf.sprintf
+         "%d chaos [XS] hosts at wave 1 (%d of %d guests each, partition %s, \
+          %d sim jobs)"
+         hosts per1 per (partition_name partition) sim_jobs)
+    ~shape:(hosts_shape partition ~sim_jobs ~hosts)
+    (fun () ->
+      let nodes =
+        Array.init hosts (fun i -> Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
+      in
+      let lat = Array.make_matrix hosts per nan in
+      fleet_wave ~partition nodes lat ~from:0 ~upto:per1;
+      (nodes, lat))
+
+(* Wave 2 and the row: the per-round mean over hosts. *)
+let fleet_finish ~partition (nodes, lat) =
+  let hosts = Array.length nodes and per = Array.length lat.(0) in
+  fleet_wave ~partition nodes lat ~from:(max 1 (per / 2)) ~upto:per;
   let label =
-    Printf.sprintf "%s x%d hosts/%d" (Mode.name Mode.chaos_xs) hosts total
+    Printf.sprintf "%s x%d hosts/%d" (Mode.name Mode.chaos_xs) hosts
+      (hosts * per)
   in
   let series = mk ("scale " ^ label) "ms" in
   let stride = max 1 (per / 20) in
@@ -682,39 +599,18 @@ let fleet_row_render ~hosts ~per lat =
   done;
   { label; series }
 
-(* [(prefix_seconds, row)]. *)
-let scale_partitioned ~snapshot ~count ~partition ~sim_jobs =
+(* xl stops at [scale_xl_cap] (see above). *)
+let scale_mode_counts mode counts =
+  if String.equal (Mode.name mode) "xl" then
+    List.filter (fun c -> c <= scale_xl_cap) counts
+  else counts
+
+(* The fleet row's key at scale [n]: the top count rounded down to a
+   whole share per host. *)
+let fleet_key_at ~n ~partition ~sim_jobs =
   let hosts = scale_partition_hosts in
-  let per = max 1 (count / hosts) in
-  let per1 = max 1 (per / 2) in
-  if not snapshot then begin
-    let lat = Array.make_matrix hosts per nan in
-    let body () =
-      let nodes =
-        Array.init hosts (fun i ->
-            Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
-      in
-      fleet_wave ~partition nodes lat ~from:0 ~upto:per1;
-      fleet_wave ~partition nodes lat ~from:per1 ~upto:per
-    in
-    (match partition with
-    | `Host -> run_sim_partitioned ~jobs:sim_jobs ~partitions:hosts body
-    | `None -> run_sim body);
-    (0., fleet_row_render ~hosts ~per lat)
-  end
-  else begin
-    let t0 = wall () in
-    let bytes = fleet_image ~partition ~sim_jobs ~hosts ~per ~per1 in
-    let ((saved : Engine.saved), ((nodes : Vmm.t array), lat)) =
-      snap_err "fleet image" (Snap.thaw bytes)
-    in
-    let prefix_seconds = wall () -. t0 in
-    ignore
-      (Engine.resume ~jobs:sim_jobs saved (fun () ->
-           fleet_wave ~partition nodes lat ~from:per1 ~upto:per;
-           Engine.stop ()));
-    (prefix_seconds, fleet_row_render ~hosts ~per lat)
-  end
+  let top = List.fold_left max 1 (scale_counts n) in
+  (partition, sim_jobs, hosts * max 1 (top / hosts))
 
 let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
     job list =
@@ -722,26 +618,21 @@ let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
   let top = List.fold_left max 1 counts in
   List.map
     (fun mode ->
-      let counts =
-        if String.equal (Mode.name mode) "xl" then
-          List.filter (fun c -> c <= scale_xl_cap) counts
-        else counts
-      in
+      let counts = scale_mode_counts mode counts in
       ( Printf.sprintf "scale/%s/%s" (Mode.name mode)
           (String.concat "+" (List.map string_of_int counts)),
         fun () ->
-          let prefix_seconds, series =
-            scale_mode_merged ~snapshot:true ~counts mode
-          in
-          piece ~series ~prefix_seconds () ))
+          forked
+            (scale_prefix (mode, List.fold_left max 1 counts))
+            (fun (_, lat) ->
+              piece ~series:(scale_curve_rows ~mode ~counts lat) ()) ))
     scale_modes
   @ [
       ( Printf.sprintf "scale/partitioned/%d" top,
         fun () ->
-          let prefix_seconds, row =
-            scale_partitioned ~snapshot:true ~count:top ~partition ~sim_jobs
-          in
-          piece ~series:[ row ] ~prefix_seconds () );
+          forked
+            (fleet_prefix (fleet_key_at ~n ~partition ~sim_jobs))
+            (fun root -> piece ~series:[ fleet_finish ~partition root ] ()) );
     ]
 
 let scale_creation ?n () = series_of_jobs (scale_jobs ?n ())
@@ -778,31 +669,32 @@ let reliability_modes = [ Mode.xl; Mode.chaos_xs; Mode.chaos_noxs ]
 let reliability_cell_seed ~fault_seed mi li =
   Int64.add fault_seed (Int64.of_int (((mi + 1) * 257) + li))
 
-let reliability_prefix_key mode = "reliability:" ^ mode_slug mode
+let reliability_key mode = "reliability:" ^ mode_slug mode
 
 (* The shared boot prefix of every cell of [mode]: a fresh host with
-   one warmup creation launched and retired. The warmup runs outside
-   the injector in both paths: the first creation on a fresh host
-   materialises shared store directories (/vm, the backend kind levels)
-   that persist for the host's lifetime, so resource snapshots are only
-   stable from the second creation on — which also makes it exactly the
-   state all four fault levels of a mode can fork from. *)
-let reliability_image mode =
-  prefix_image ~key:(reliability_prefix_key mode) (fun () ->
-      let host = ref None in
-      let _clock, saved =
-        Engine.run_capture (fun () ->
-            let h = Vmm.create ~mode () in
-            let warm = launch h ~name:"rel-warmup" Image.daytime in
-            retire h warm;
-            host := Some h;
-            Engine.stop ())
-      in
-      snap_err "reliability image" (Snap.freeze (saved, Option.get !host)))
+   one warmup creation launched and retired, outside the injector. The
+   first creation on a fresh host materialises shared store directories
+   (/vm, the backend kind levels) that persist for the host's lifetime,
+   so resource snapshots are only stable from the second creation on —
+   which also makes it exactly the state all four fault levels of a
+   mode can fork from. *)
+let reliability_prefix mode =
+  Prefix.boot ~key:(reliability_key mode)
+    ~describe:
+      (Printf.sprintf "one warmed-up %s host (reliability cell prefix)"
+         (Mode.name mode))
+    (fun () ->
+      let host = Vmm.create ~mode () in
+      retire host (launch host ~name:"rel-warmup" Image.daytime);
+      host)
 
-(* The cell's suffix: [n] creation attempts under the injector,
-   accumulating successes, latencies and leak reports into the refs. *)
-let reliability_attempts ~n ~label ~injector host ok times leaks =
+(* The cell's suffix: [n] creation attempts under the injector, then
+   the success point, the CDF of successful creation times and the
+   injected-fault and leak notes. *)
+let reliability_cell ~n ~mode ~spec ~seed ~level host =
+  let label = Printf.sprintf "%s x%g" (Mode.name mode) level in
+  let injector = Fault.create ~seed (Fault.scale spec level) in
+  let ok = ref 0 and times = ref [] and leaks = ref [] in
   Fault.with_injector injector (fun () ->
       for i = 1 to n do
         let before = Vmm.resources host in
@@ -822,10 +714,7 @@ let reliability_attempts ~n ~label ~injector host ok times leaks =
                 leaks :=
                   Printf.sprintf "LEAK %s attempt %d: %s" label i leaked
                   :: !leaks)
-      done)
-
-let reliability_render ~mode ~label ~level ~n ~injector ~prefix_seconds ok
-    times leaks =
+      done);
   let cdf = mk ("reliability cdf " ^ label) "ms" in
   let success =
     mk (Printf.sprintf "reliability success %s" (Mode.name mode)) "%"
@@ -856,47 +745,10 @@ let reliability_render ~mode ~label ~level ~n ~injector ~prefix_seconds ok
     ~series:[ { label = "cdf " ^ label; series = cdf };
               { label = "success " ^ Mode.name mode; series = success } ]
     ~notes:(note :: List.rev !leaks)
-    ~prefix_seconds ()
-
-let reliability_cell ~snapshot ~n ~mode ~spec ~seed ~level =
-  let label = Printf.sprintf "%s x%g" (Mode.name mode) level in
-  let injector = Fault.create ~seed (Fault.scale spec level) in
-  let ok = ref 0 and times = ref [] and leaks = ref [] in
-  let prefix_seconds =
-    if not snapshot then begin
-      run_sim (fun () ->
-          let host = Vmm.create ~mode () in
-          let warm = launch host ~name:"rel-warmup" Image.daytime in
-          retire host warm;
-          reliability_attempts ~n ~label ~injector host ok times leaks);
-      0.
-    end
-    else begin
-      let t0 = wall () in
-      let bytes = reliability_image mode in
-      let ((saved : Engine.saved), (host : Vmm.t)) =
-        snap_err "reliability image" (Snap.thaw bytes)
-      in
-      let prefix_seconds = wall () -. t0 in
-      ignore
-        (Engine.resume saved (fun () ->
-             reliability_attempts ~n ~label ~injector host ok times leaks;
-             Engine.stop ()));
-      prefix_seconds
-    end
-  in
-  reliability_render ~mode ~label ~level ~n ~injector ~prefix_seconds ok times
-    leaks
+    ()
 
 let reliability_jobs ?(n = 200) ?spec ?(fault_seed = 42L) () : job list =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec reliability_default_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("reliability_default_spec: " ^ m))
-  in
+  let spec = spec_or ~default:reliability_default_spec spec in
   List.concat
     (List.mapi
        (fun mi mode ->
@@ -904,9 +756,10 @@ let reliability_jobs ?(n = 200) ?spec ?(fault_seed = 42L) () : job list =
            (fun li level ->
              ( Printf.sprintf "reliability/%s/x%g" (Mode.name mode) level,
                fun () ->
-                 reliability_cell ~snapshot:true ~n ~mode ~spec
-                   ~seed:(reliability_cell_seed ~fault_seed mi li)
-                   ~level ))
+                 forked (reliability_prefix mode)
+                   (reliability_cell ~n ~mode ~spec
+                      ~seed:(reliability_cell_seed ~fault_seed mi li)
+                      ~level) ))
            reliability_levels)
        reliability_modes)
 
@@ -1697,9 +1550,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
           (List.rev per_host.(h)));
     final_views := Cluster.views c
   in
-  (match partition with
-  | `Host -> run_sim_partitioned ~jobs:sim_jobs ~partitions:hosts body
-  | `None -> run_sim body);
+  run_sim_hosts partition ~sim_jobs ~hosts body;
   for i = 1 to guests do
     if i mod sample = 0 || i = 1 then
       Series.add latency ~x:(float_of_int i) ~y:(ms lat.(i - 1))
@@ -1731,41 +1582,38 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
     ~series:[ { label = "cluster " ^ pname; series = latency } ]
     ~notes:[ note ] ()
 
-let cluster_drain_prefix_key guests = Printf.sprintf "cluster:drain@%d" guests
+(* The drain job's boot prefix: a [tag] cluster ([hosts_of guests]
+   hosts) up with [guests] spread-placed guests running — everything
+   before the first injected fault. (The policy bring-up jobs are not
+   prefixed: pool-everywhere runs split toolstacks whose warm-pool
+   refill daemons park effect continuations, which is exactly what a
+   checkpoint cannot hold.) *)
+let drain_key tag guests = Printf.sprintf "%s:drain@%d" tag guests
 
-(* The drain job's boot prefix: the whole cluster up with [guests]
-   spread-placed guests running — everything before the first injected
-   fault. (The policy bring-up jobs are not prefixed: pool-everywhere
-   runs split toolstacks whose warm-pool refill daemons park effect
-   continuations, which is exactly what a checkpoint cannot hold.) *)
-let cluster_drain_image_for ~key ~hosts ~guests =
-  prefix_image ~key (fun () ->
-      let cl = ref None in
-      let _clock, saved =
-        Engine.run_capture (fun () ->
-            let c =
-              Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
-                ~policy:Scheduler.Spread ()
-            in
-            for _ = 1 to guests do
-              match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
-              | Error e -> failwith (Cluster.error_to_string e)
-              | Ok p -> cluster_boot c p
-            done;
-            cl := Some c;
-            Engine.stop ())
+let drain_prefix ~tag ~hosts_of ~what guests =
+  let hosts = hosts_of ~guests in
+  Prefix.boot ~key:(drain_key tag guests)
+    ~describe:
+      (Printf.sprintf "spread cluster of %d hosts with %d guests running (%s)"
+         hosts guests what)
+    (fun () ->
+      let c =
+        Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
+          ~policy:Scheduler.Spread ()
       in
-      snap_err "cluster drain image" (Snap.freeze (saved, Option.get !cl)))
+      for _ = 1 to guests do
+        match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
+        | Error e -> failwith (Cluster.error_to_string e)
+        | Ok p -> cluster_boot c p
+      done;
+      c)
 
-let cluster_drain_image ~guests =
-  cluster_drain_image_for
-    ~key:(cluster_drain_prefix_key guests)
-    ~hosts:(cluster_hosts ~guests) ~guests
+let cluster_drain_prefix =
+  drain_prefix ~tag:"cluster" ~hosts_of:cluster_hosts ~what:"drain prefix"
 
 (* The drain suffix: snapshot accounting, drain host 0 under the
-   injector, rebalance, leak check. Runs inside the simulation, after
-   the boot prefix — inline or resumed from a thawed image. *)
-let cluster_drain_suffix ~spec ~fault_seed c =
+   injector, rebalance, leak check. *)
+let cluster_drain ~spec ~fault_seed c =
   let injector = Fault.create ~seed:fault_seed spec in
   let before = Cluster.resources c in
   let drain =
@@ -1792,53 +1640,10 @@ let cluster_drain_suffix ~spec ~fault_seed c =
       ]
     ()
 
-let cluster_drain_job_for ~image ~hosts ~snapshot ~guests ~spec ~fault_seed
-    () =
-  if not snapshot then
-    run_sim (fun () ->
-        let c =
-          Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
-            ~policy:Scheduler.Spread ()
-        in
-        for _ = 1 to guests do
-          match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
-          | Error e -> failwith (Cluster.error_to_string e)
-          | Ok p -> cluster_boot c p
-        done;
-        cluster_drain_suffix ~spec ~fault_seed c)
-  else begin
-    let t0 = wall () in
-    let bytes = image () in
-    let ((saved : Engine.saved), (c : Cluster.t)) =
-      snap_err "cluster drain image" (Snap.thaw bytes)
-    in
-    let prefix_seconds = wall () -. t0 in
-    let out = ref None in
-    ignore
-      (Engine.resume saved (fun () ->
-           out := Some (cluster_drain_suffix ~spec ~fault_seed c);
-           Engine.stop ()));
-    match !out with
-    | Some p -> { p with p_prefix_seconds = prefix_seconds }
-    | None -> failwith "cluster drain: simulation did not complete"
-  end
-
-let cluster_drain_job ~snapshot ~guests ~spec ~fault_seed () =
-  cluster_drain_job_for
-    ~image:(fun () -> cluster_drain_image ~guests)
-    ~hosts:(cluster_hosts ~guests) ~snapshot ~guests ~spec ~fault_seed ()
-
 let cluster_jobs ?(n = 500) ?spec ?(fault_seed = 42L) ?(partition = `Host)
     ?(sim_jobs = 1) () : job list =
   let guests = n in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec cluster_fault_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("cluster_fault_spec: " ^ m))
-  in
+  let spec = spec_or ~default:cluster_fault_spec spec in
   List.map
     (fun policy ->
       ( "cluster/" ^ Scheduler.policy_name policy,
@@ -1849,7 +1654,9 @@ let cluster_jobs ?(n = 500) ?spec ?(fault_seed = 42L) ?(partition = `Host)
      engine. *)
   @ [
       ( "cluster/drain",
-        cluster_drain_job ~snapshot:true ~guests ~spec ~fault_seed );
+        fun () ->
+          forked (cluster_drain_prefix guests)
+            (cluster_drain ~spec ~fault_seed) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1866,35 +1673,23 @@ let cluster_jobs ?(n = 500) ?spec ?(fault_seed = 42L) ?(partition = `Host)
 
 let cluster_scale_hosts ~guests = max 4 (min 100 (guests / 100))
 
-let cluster_scale_prefix_key guests =
-  Printf.sprintf "cluster-scale:drain@%d" guests
-
-let cluster_scale_drain_image ~guests =
-  cluster_drain_image_for
-    ~key:(cluster_scale_prefix_key guests)
-    ~hosts:(cluster_scale_hosts ~guests)
-    ~guests
+let cluster_scale_drain_prefix =
+  drain_prefix ~tag:"cluster-scale" ~hosts_of:cluster_scale_hosts
+    ~what:"cluster-scale drain prefix"
 
 let cluster_scale_jobs ?(n = 2000) ?spec ?(fault_seed = 42L)
     ?(partition = `Host) ?(sim_jobs = 1) () : job list =
   let guests = n in
-  let hosts = cluster_scale_hosts ~guests in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec cluster_fault_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("cluster_fault_spec: " ^ m))
-  in
+  let spec = spec_or ~default:cluster_fault_spec spec in
   [
     ( "cluster-scale/spread",
-      cluster_policy_job ~hosts ~summarize:true ~guests ~partition ~sim_jobs
-        Scheduler.Spread );
+      cluster_policy_job
+        ~hosts:(cluster_scale_hosts ~guests)
+        ~summarize:true ~guests ~partition ~sim_jobs Scheduler.Spread );
     ( "cluster-scale/drain",
-      cluster_drain_job_for
-        ~image:(fun () -> cluster_scale_drain_image ~guests)
-        ~hosts ~snapshot:true ~guests ~spec ~fault_seed );
+      fun () ->
+        forked (cluster_scale_drain_prefix guests)
+          (cluster_drain ~spec ~fault_seed) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1923,19 +1718,19 @@ let serverless_rate = 80.
 let serverless_pool_target = 4
 let serverless_cold_mode = Mode.chaos_xs
 
-let serverless_prefix_key target = Printf.sprintf "serverless:warm@%d" target
+let serverless_key target = Printf.sprintf "serverless:warm@%d" target
 
-let serverless_image target =
-  prefix_image ~key:(serverless_prefix_key target) (fun () ->
-      let host = ref None in
-      let _clock, saved =
-        Engine.run_capture (fun () ->
-            let h = Vmm.create () in
-            Serverless.warm_pool h ~target;
-            host := Some h;
-            Engine.stop ())
-      in
-      snap_err "serverless image" (Snap.freeze (saved, Option.get !host)))
+let serverless_prefix target =
+  Prefix.boot ~key:(serverless_key target)
+    ~describe:
+      (Printf.sprintf
+         "one LightVM host, function-instance pool prefilled to %d \
+          (serverless warm prefix)"
+         target)
+    (fun () ->
+      let host = Vmm.create () in
+      Serverless.warm_pool host ~target;
+      host)
 
 (* Distinct per-cell seed so cells stay independent whatever the job
    order: a pure function of the base seed and the cell's position in
@@ -1958,7 +1753,7 @@ let serverless_config ~arrival ~requests ~policy ~seed =
    queue-depth trace and the percentile note. Everything rendered is
    simulated data, so the piece digests identically however the cell
    was scheduled. *)
-let serverless_render ~label ~prefix_seconds (s : Serverless.stats) =
+let serverless_render ~label (s : Serverless.stats) =
   let cdf = mk ("serverless cdf " ^ label) "us" in
   let n = Quantiles.count s.Serverless.latency in
   if n > 0 then
@@ -1972,57 +1767,28 @@ let serverless_render ~label ~prefix_seconds (s : Serverless.stats) =
         { label = "queue " ^ label; series = s.Serverless.queue_depth };
       ]
     ~notes:[ Serverless.percentile_note ~label s ]
-    ~prefix_seconds ()
+    ()
 
-(* A cell body: host of the right shape, then the open-loop run,
-   optionally under a fault injector (injected creation failures count
-   as failed requests; the arrival stream never blocks on them). *)
-let serverless_attempts ~cfg ~injector host =
-  match injector with
+(* A cell body on [host]: the open-loop run, optionally under a fault
+   injector (injected creation failures count as failed requests; the
+   arrival stream never blocks on them). *)
+let serverless_attempts ~requests ~policy ~arrival ?spec ~seed host =
+  let cfg = serverless_config ~arrival ~requests ~policy ~seed in
+  match spec with
   | None -> Serverless.run_node cfg host
-  | Some injector ->
-      Fault.with_injector injector (fun () -> Serverless.run_node cfg host)
+  | Some spec ->
+      Fault.with_injector (Fault.create ~seed spec) (fun () ->
+          Serverless.run_node cfg host)
 
 (* [(prefix_seconds, stats)] for one cell. Warm-pool cells fork the
-   shared prefix image by default; [~snapshot:false] keeps the unbroken
-   twin alive so the fork-equals-unbroken contract stays testable. *)
-let serverless_cell_stats ~snapshot ~requests ~policy ~arrival ?spec ~seed () =
-  let cfg = serverless_config ~arrival ~requests ~policy ~seed in
-  let injector = Option.map (fun spec -> Fault.create ~seed spec) spec in
+   shared prefix image; the other policies boot a plain host. *)
+let serverless_cell_stats ~requests ~policy ~arrival ?spec ~seed () =
+  let run = serverless_attempts ~requests ~policy ~arrival ?spec ~seed in
   match policy with
-  | Serverless.Warm_pool when snapshot ->
-      let t0 = wall () in
-      let bytes = serverless_image serverless_pool_target in
-      let ((saved : Engine.saved), (host : Vmm.t)) =
-        snap_err "serverless image" (Snap.thaw bytes)
-      in
-      let prefix_seconds = wall () -. t0 in
-      let out = ref None in
-      ignore
-        (Engine.resume saved (fun () ->
-             out := Some (serverless_attempts ~cfg ~injector host);
-             Engine.stop ()));
-      let stats =
-        match !out with
-        | Some s -> s
-        | None -> failwith "serverless: simulation did not complete"
-      in
-      (prefix_seconds, stats)
-  | _ ->
-      let stats =
-        run_sim (fun () ->
-            let host =
-              match policy with
-              | Serverless.Warm_pool ->
-                  let h = Vmm.create () in
-                  Serverless.warm_pool h ~target:serverless_pool_target;
-                  h
-              | Serverless.Cold_boot | Serverless.Container ->
-                  Vmm.create ~mode:serverless_cold_mode ()
-            in
-            serverless_attempts ~cfg ~injector host)
-      in
-      (0., stats)
+  | Serverless.Warm_pool ->
+      Prefix.run ~snapshot:true (serverless_prefix serverless_pool_target) run
+  | Serverless.Cold_boot | Serverless.Container ->
+      (0., run_sim (fun () -> run (Vmm.create ~mode:serverless_cold_mode ())))
 
 let serverless_label ~policy ~arrival ~spec =
   Printf.sprintf "%s/%s"
@@ -2030,13 +1796,15 @@ let serverless_label ~policy ~arrival ~spec =
     (Arrival.name arrival)
   ^ match spec with Some _ -> "/faults" | None -> ""
 
-let serverless_cell ~snapshot ~requests ~policy ~arrival ?spec ~seed () =
+let serverless_cell ~requests ~policy ~arrival ?spec ~seed () =
   let prefix_seconds, stats =
-    serverless_cell_stats ~snapshot ~requests ~policy ~arrival ?spec ~seed ()
+    serverless_cell_stats ~requests ~policy ~arrival ?spec ~seed ()
   in
-  serverless_render
-    ~label:(serverless_label ~policy ~arrival ~spec)
-    ~prefix_seconds stats
+  {
+    (serverless_render ~label:(serverless_label ~policy ~arrival ~spec) stats)
+    with
+    p_prefix_seconds = prefix_seconds;
+  }
 
 (* The fleet cell: [serverless_fleet_hosts] LightVM hosts each running
    an independent warm-pool node in its own partition, per-host streams
@@ -2052,9 +1820,7 @@ let serverless_fleet_hosts = 4
    host index, and results land in disjoint slots. *)
 let serverless_fleet_cells ~partition ~per ~seed ~node slots =
   let hosts = Array.length slots in
-  fan_out_hosts ~hosts
-    ~part_of:(fun h -> match partition with `Host -> h + 1 | `None -> 0)
-    (fun h ->
+  fan_out_hosts ~hosts ~part_of:(host_partition partition) (fun h ->
       let host = node h in
       let cfg =
         serverless_config
@@ -2067,7 +1833,7 @@ let serverless_fleet_cells ~partition ~per ~seed ~node slots =
 (* Merge the per-host results in host index order (latency quantiles
    merged into one accumulator, counters summed) and render: identical
    whatever the partitioning or worker count. *)
-let serverless_fleet_finish ~label ~prefix_seconds slots =
+let serverless_fleet_finish ~label slots =
   let per_host = Array.to_list (Array.map Option.get slots) in
   let merged = Quantiles.create () in
   List.iter
@@ -2094,7 +1860,7 @@ let serverless_fleet_finish ~label ~prefix_seconds slots =
           0. per_host;
     }
   in
-  let p = serverless_render ~label ~prefix_seconds agg in
+  let p = serverless_render ~label agg in
   let host_notes =
     List.mapi
       (fun h s ->
@@ -2115,12 +1881,10 @@ let serverless_fleet ~requests ~partition ~sim_jobs ~seed () =
         host)
       slots
   in
-  (match partition with
-  | `Host -> run_sim_partitioned ~jobs:sim_jobs ~partitions:hosts body
-  | `None -> run_sim body);
+  run_sim_hosts partition ~sim_jobs ~hosts body;
   serverless_fleet_finish
     ~label:(Printf.sprintf "fleet x%d warmpool/poisson" hosts)
-    ~prefix_seconds:0. slots
+    slots
 
 let serverless_jobs ?(n = 2000) ?spec ?(fault_seed = 42L)
     ?(partition = `Host) ?(sim_jobs = 1) () : job list =
@@ -2138,16 +1902,9 @@ let serverless_jobs ?(n = 2000) ?spec ?(fault_seed = 42L)
         mean_burst = duration /. 60.;
       }
   in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec reliability_default_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("reliability_default_spec: " ^ m))
-  in
+  let spec = spec_or ~default:reliability_default_spec spec in
   let cell i ?spec ~policy ~arrival () =
-    serverless_cell ~snapshot:true ~requests ~policy ~arrival ?spec
+    serverless_cell ~requests ~policy ~arrival ?spec
       ~seed:(serverless_cell_seed ~seed:fault_seed i) ()
   in
   [
@@ -2171,15 +1928,6 @@ let serverless_jobs ?(n = 2000) ?spec ?(fault_seed = 42L)
           () );
   ]
 
-(* CLI hook: one configurable cell from flag values, returning the
-   uniform [result] shape (defined below) via [serverless_run]. *)
-let serverless_cell_piece ?(snapshot = true) ~requests ~policy ~arrival ?spec
-    ~seed () =
-  match Serverless.policy_of_string policy with
-  | Error m -> Error m
-  | Ok policy ->
-      Ok (serverless_cell ~snapshot ~requests ~policy ~arrival ?spec ~seed ())
-
 (* Bench hook: [(cold_p99_us, warm_p99_us, warm_hit_rate)] for the
    flagship Poisson pair, same seeds as the family jobs. The bench
    emits these as JSON fields and CI asserts warm < cold. *)
@@ -2187,7 +1935,7 @@ let serverless_bench_summary ?(requests = 2000) () =
   let poisson = Arrival.Poisson { rate = serverless_rate } in
   let stats i policy =
     snd
-      (serverless_cell_stats ~snapshot:true ~requests ~policy ~arrival:poisson
+      (serverless_cell_stats ~requests ~policy ~arrival:poisson
          ~seed:(serverless_cell_seed ~seed:42L i) ())
   in
   let cold = stats 0 Serverless.Cold_boot in
@@ -2212,65 +1960,46 @@ let serverless_bench_summary ?(requests = 2000) () =
    scale-fleet key (cache hits must not short-circuit the jobs-matrix
    determinism tests). *)
 
-let serverless_day_prefix_key ~partition ~sim_jobs hosts =
+let day_key (partition, sim_jobs, hosts) =
   Printf.sprintf "serverless-day:%s/j%d@%d" (partition_name partition)
     sim_jobs hosts
 
-let serverless_day_image ~partition ~sim_jobs () =
-  let hosts = serverless_fleet_hosts in
-  prefix_image
-    ~key:(serverless_day_prefix_key ~partition ~sim_jobs hosts)
+let day_prefix ((partition, sim_jobs, hosts) as k) =
+  Prefix.boot ~key:(day_key k)
+    ~describe:
+      (Printf.sprintf
+         "%d LightVM hosts, function-instance pools prefilled to %d each \
+          (serverless-day fleet prefix, partition %s, %d sim jobs)"
+         hosts serverless_pool_target (partition_name partition) sim_jobs)
+    ~shape:(hosts_shape partition ~sim_jobs ~hosts)
     (fun () ->
-      let nodes : Vmm.t option array = Array.make hosts None in
-      let body () =
-        fan_out_hosts ~hosts
-          ~part_of:(fun h ->
-            match partition with `Host -> h + 1 | `None -> 0)
-          (fun h ->
-            let host = Vmm.create ~host_id:h () in
-            Serverless.warm_pool host ~target:serverless_pool_target;
-            nodes.(h) <- Some host);
-        Engine.stop ()
-      in
-      let saved =
-        match partition with
-        | `Host ->
-            snd
-              (Engine.run_partitioned_capture ~jobs:sim_jobs ~lookahead
-                 ~partitions:hosts body)
-        | `None -> snd (Engine.run_capture body)
-      in
-      snap_err "serverless day image"
-        (Snap.freeze (saved, Array.map Option.get nodes)))
+      let nodes = Array.make hosts None in
+      fan_out_hosts ~hosts ~part_of:(host_partition partition) (fun h ->
+          let host = Vmm.create ~host_id:h () in
+          Serverless.warm_pool host ~target:serverless_pool_target;
+          nodes.(h) <- Some host);
+      Array.map Option.get nodes)
 
-let serverless_day ~requests ~partition ~sim_jobs ~seed () =
-  let hosts = serverless_fleet_hosts in
-  let per = max 1 (requests / hosts) in
-  let slots : Serverless.stats option array = Array.make hosts None in
-  let t0 = wall () in
-  let bytes = serverless_day_image ~partition ~sim_jobs () in
-  let ((saved : Engine.saved), (nodes : Vmm.t array)) =
-    snap_err "serverless day image" (Snap.thaw bytes)
-  in
-  let prefix_seconds = wall () -. t0 in
-  ignore
-    (Engine.resume ~jobs:sim_jobs saved (fun () ->
-         serverless_fleet_cells ~partition ~per ~seed
-           ~node:(fun h -> nodes.(h))
-           slots;
-         Engine.stop ()));
+(* The day itself: [requests] split evenly over the warm nodes. *)
+let day_fleet ~partition ~requests ~seed nodes =
+  let hosts = Array.length nodes in
+  let slots = Array.make hosts None in
+  serverless_fleet_cells ~partition ~per:(max 1 (requests / hosts)) ~seed
+    ~node:(fun h -> nodes.(h))
+    slots;
   serverless_fleet_finish
     ~label:(Printf.sprintf "day fleet x%d warmpool/poisson" hosts)
-    ~prefix_seconds slots
+    slots
 
 let serverless_day_jobs ?(n = 8000) ?(partition = `Host) ?(sim_jobs = 1) () :
     job list =
   [
     ( "serverless-day/fleet",
       fun () ->
-        serverless_day ~requests:n ~partition ~sim_jobs
-          ~seed:(serverless_cell_seed ~seed:42L 7)
-          () );
+        forked
+          (day_prefix (partition, sim_jobs, serverless_fleet_hosts))
+          (day_fleet ~partition ~requests:n
+             ~seed:(serverless_cell_seed ~seed:42L 7)) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2317,92 +2046,86 @@ let cluster_plan ?n ?spec ?fault_seed ?partition ?sim_jobs () =
   mk_plan ~figure:"Cluster" "cluster"
     (cluster_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ())
 
-let plans ?n ?partition ?sim_jobs () : (string * plan) list =
+let plans ?n ?partition ?sim_jobs () : plan list =
   [
-    ( "fig1",
-      single ~figure:"Fig 1" "fig1" (fun () ->
-          let table, slope = fig1_syscall_growth () in
-          piece ~tables:[ table ]
-            ~notes:[ Printf.sprintf "growth: %.1f syscalls/year" slope ]
-            ()) );
-    ( "fig2",
-      single ~figure:"Fig 2" "fig2" (fun () ->
-          piece
-            ~series:
-              [
-                {
-                  label = "daytime create+boot vs image size";
-                  series = fig2_boot_vs_image_size ();
-                };
-              ]
-            ()) );
-    ("fig4", mk_plan ~figure:"Fig 4" "fig4" (fig4_jobs ?n ()));
-    ( "fig5",
-      single ~figure:"Fig 5" "fig5" (fun () ->
-          piece ~series:(fig5_breakdown ?n ()) ()) );
-    ("fig9", mk_plan ~figure:"Fig 9" "fig9" (fig9_jobs ?n ()));
-    ( "scale",
-      mk_plan ~figure:"Fig 9 at 10k" "scale"
-        (scale_jobs ?n ?partition ?sim_jobs ()) );
-    ("reliability", reliability_plan ?n ());
-    ( "fig10",
-      mk_plan ~figure:"Fig 10" "fig10"
-        (fig10_jobs ?vms:n ?containers:n ()) );
-    ("fig11", mk_plan ~figure:"Fig 11" "fig11" (fig11_jobs ?n ()));
-    ( "fig12",
-      (* Sequential rendering lists every mode's save series first,
-         then every restore: reassemble that order from the per-mode
-         pieces ([save; restore] each). *)
-      mk_plan ~figure:"Fig 12" "fig12" (fig12_jobs ?n ())
-        ~finish:(fun pieces ->
-          let save = List.map (fun p -> List.nth p.p_series 0) pieces in
-          let restore = List.map (fun p -> List.nth p.p_series 1) pieces in
-          piece
-            ~series:
-              (List.map (relabel "save") save
-              @ List.map (relabel "restore") restore)
-            ()) );
-    ("fig13", mk_plan ~figure:"Fig 13" "fig13" (fig13_jobs ?n ()));
-    ("fig14", mk_plan ~figure:"Fig 14" "fig14" (fig14_jobs ?n ()));
-    ("fig15", mk_plan ~figure:"Fig 15" "fig15" (fig15_jobs ?n ()));
-    ( "fig16a",
-      single ~figure:"Fig 16a" "fig16a" (fun () ->
-          piece ~tables:[ fig16a_firewall () ] ()) );
-    ( "fig16b",
-      mk_plan ~figure:"Fig 16b" "fig16b" (fig16b_jobs ?clients:n ()) );
-    ("fig16c", mk_plan ~figure:"Fig 16c" "fig16c" (fig16c_jobs ()));
-    ("fig17", mk_plan ~figure:"Fig 17" "fig17" (fig17_jobs ?requests:n ()));
-    ("fig18", mk_plan ~figure:"Fig 18" "fig18" (fig18_jobs ?requests:n ()));
-    ( "ablation",
-      mk_plan ~figure:"Sec 4.2 ablation" "ablation" (ablation_jobs ?n ()) );
-    ( "pause",
-      single ~figure:"Sec 2" "pause" (fun () ->
-          piece ~tables:[ pause_unpause () ] ()) );
-    ( "wan-migration",
-      single ~figure:"Sec 7.1" "wan-migration" (fun () ->
-          piece ~tables:[ wan_migration () ] ()) );
-    ( "headline",
-      single ~figure:"Abstract" "headline" (fun () ->
-          piece ~tables:[ headline_numbers () ] ()) );
-    ( "tinyx",
-      single ~figure:"Sec 3.2" "tinyx" (fun () ->
-          piece ~tables:[ tinyx_table () ] ()) );
-    ("cluster", cluster_plan ?n ?partition ?sim_jobs ());
-    ( "cluster-scale",
-      mk_plan ~figure:"Cluster at scale" "cluster-scale"
-        (cluster_scale_jobs ?n ?partition ?sim_jobs ()) );
-    ( "serverless",
-      mk_plan ~figure:"Open-loop serverless" "serverless"
-        (serverless_jobs ?n ?partition ?sim_jobs ()) );
-    ( "serverless-day",
-      mk_plan ~figure:"Serverless day" "serverless-day"
-        (serverless_day_jobs ?n ?partition ?sim_jobs ()) );
+    single ~figure:"Fig 1" "fig1" (fun () ->
+        let table, slope = fig1_syscall_growth () in
+        piece ~tables:[ table ]
+          ~notes:[ Printf.sprintf "growth: %.1f syscalls/year" slope ]
+          ());
+    single ~figure:"Fig 2" "fig2" (fun () ->
+        piece
+          ~series:
+            [
+              {
+                label = "daytime create+boot vs image size";
+                series = fig2_boot_vs_image_size ();
+              };
+            ]
+          ());
+    mk_plan ~figure:"Fig 4" "fig4" (fig4_jobs ?n ());
+    single ~figure:"Fig 5" "fig5" (fun () ->
+        piece ~series:(fig5_breakdown ?n ()) ());
+    mk_plan ~figure:"Fig 9" "fig9" (fig9_jobs ?n ());
+    mk_plan ~figure:"Fig 9 at 10k" "scale"
+      (scale_jobs ?n ?partition ?sim_jobs ());
+    reliability_plan ?n ();
+    mk_plan ~figure:"Fig 10" "fig10" (fig10_jobs ?vms:n ?containers:n ());
+    mk_plan ~figure:"Fig 11" "fig11" (fig11_jobs ?n ());
+    (* Sequential rendering lists every mode's save series first, then
+       every restore: reassemble that order from the per-mode pieces
+       ([save; restore] each). *)
+    mk_plan ~figure:"Fig 12" "fig12" (fig12_jobs ?n ()) ~finish:(fun pieces ->
+        let save = List.map (fun p -> List.nth p.p_series 0) pieces in
+        let restore = List.map (fun p -> List.nth p.p_series 1) pieces in
+        piece
+          ~series:
+            (List.map (relabel "save") save
+            @ List.map (relabel "restore") restore)
+          ());
+    mk_plan ~figure:"Fig 13" "fig13" (fig13_jobs ?n ());
+    mk_plan ~figure:"Fig 14" "fig14" (fig14_jobs ?n ());
+    mk_plan ~figure:"Fig 15" "fig15" (fig15_jobs ?n ());
+    single ~figure:"Fig 16a" "fig16a" (fun () ->
+        piece ~tables:[ fig16a_firewall () ] ());
+    mk_plan ~figure:"Fig 16b" "fig16b" (fig16b_jobs ?clients:n ());
+    mk_plan ~figure:"Fig 16c" "fig16c" (fig16c_jobs ());
+    mk_plan ~figure:"Fig 17" "fig17" (fig17_jobs ?requests:n ());
+    mk_plan ~figure:"Fig 18" "fig18" (fig18_jobs ?requests:n ());
+    mk_plan ~figure:"Sec 4.2 ablation" "ablation" (ablation_jobs ?n ());
+    single ~figure:"Sec 2" "pause" (fun () ->
+        piece ~tables:[ pause_unpause () ] ());
+    single ~figure:"Sec 7.1" "wan-migration" (fun () ->
+        piece ~tables:[ wan_migration () ] ());
+    single ~figure:"Abstract" "headline" (fun () ->
+        piece ~tables:[ headline_numbers () ] ());
+    single ~figure:"Sec 3.2" "tinyx" (fun () ->
+        piece ~tables:[ tinyx_table () ] ());
+    cluster_plan ?n ?partition ?sim_jobs ();
+    mk_plan ~figure:"Cluster at scale" "cluster-scale"
+      (cluster_scale_jobs ?n ?partition ?sim_jobs ());
+    mk_plan ~figure:"Open-loop serverless" "serverless"
+      (serverless_jobs ?n ?partition ?sim_jobs ());
+    mk_plan ~figure:"Serverless day" "serverless-day"
+      (serverless_day_jobs ?n ?partition ?sim_jobs ());
   ]
 
 let plan ?n ?partition ?sim_jobs name =
-  List.assoc_opt name (plans ?n ?partition ?sim_jobs ())
+  List.find_opt
+    (fun p -> String.equal p.plan_name name)
+    (plans ?n ?partition ?sim_jobs ())
 
 let job_count p = List.length p.plan_jobs
+
+let result_of_piece ~name ~figure p =
+  {
+    name;
+    figure;
+    series = p.p_series;
+    tables = p.p_tables;
+    notes = p.p_notes;
+    prefix_seconds = p.p_prefix_seconds;
+  }
 
 let run_plan ?(jobs = 1) p =
   let thunks = List.map snd p.plan_jobs in
@@ -2410,21 +2133,14 @@ let run_plan ?(jobs = 1) p =
     if jobs <= 1 then List.map (fun f -> f ()) thunks
     else Pool.run ~jobs thunks
   in
-  let merged = p.plan_finish pieces in
-  {
-    name = p.plan_name;
-    figure = p.plan_figure;
-    series = merged.p_series;
-    tables = merged.p_tables;
-    notes = merged.p_notes;
-    prefix_seconds = merged.p_prefix_seconds;
-  }
+  result_of_piece ~name:p.plan_name ~figure:p.plan_figure
+    (p.plan_finish pieces)
 
 (* ------------------------------------------------------------------ *)
 
 let registry ?n ?partition ?sim_jobs () =
   List.map
-    (fun (name, p) -> (name, fun () -> run_plan p))
+    (fun p -> (p.plan_name, fun () -> run_plan p))
     (plans ?n ?partition ?sim_jobs ())
 
 let all = registry ()
@@ -2432,447 +2148,230 @@ let all = registry ()
 let names = List.map fst all
 
 let find ?n ?partition ?sim_jobs name =
-  List.assoc_opt name (registry ?n ?partition ?sim_jobs ())
+  Option.map
+    (fun p () -> run_plan p)
+    (plan ?n ?partition ?sim_jobs name)
 
 (* ------------------------------------------------------------------ *)
-(* Named prefixes and file-level snapshot/resume.
+(* The prefix catalogue and file-level snapshot/resume.
 
-   Every shared boot prefix the plans use is also addressable by name,
+   Every shared boot prefix the plans use is also addressable by key,
    so the CLI can build one, write it to disk ([snapshot]) and later
    fork suffix runs from the file ([resume]) — across process
    invocations, as long as it is the same binary
-   ({!Lightvm_sim.Checkpoint} refuses anything else). The prefix key
-   doubles as the snapshot's stored config string: [resume] dispatches
-   on it, so a snapshot file knows which suffix grammar applies. *)
+   ({!Lightvm_sim.Checkpoint} refuses anything else). One record per
+   family holds everything keyed access needs: the typed keys at a
+   scale, the key printer and scanner, the typed prefix a key names
+   and the suffix [resume] runs on it. The key doubles as a snapshot
+   file's stored config, and the record its key parses under fixes the
+   type the image is thawed at. *)
 
-type prefix = {
-  prefix_key : string;
-  prefix_describe : string;
-  prefix_build : unit -> string;
-}
+type fork =
+  | Fork : { prefix : 'root Prefix.t; suffix : 'root -> piece } -> fork
 
-let prefixes ?n ?(partition = `Host) ?(sim_jobs = 1) () : prefix list =
-  let scale_n = match n with Some v -> v | None -> 10_000 in
-  let counts = scale_counts scale_n in
-  let top = List.fold_left max 1 counts in
-  let scale_prefixes =
-    List.concat_map
-      (fun mode ->
-        let counts =
-          if String.equal (Mode.name mode) "xl" then
-            List.filter (fun c -> c <= scale_xl_cap) counts
-          else counts
-        in
-        List.map
-          (fun count ->
-            {
-              prefix_key = scale_prefix_key ~mode count;
-              prefix_describe =
-                Printf.sprintf "one %s host booted to %d daytime guests"
-                  (Mode.name mode) count;
-              prefix_build = (fun () -> scale_image ~mode ~bounds:counts count);
-            })
-          counts)
-      scale_modes
-  in
-  let fleet =
-    let hosts = scale_partition_hosts in
-    let per = max 1 (top / hosts) in
-    let per1 = max 1 (per / 2) in
-    let total = hosts * per in
-    {
-      prefix_key = fleet_prefix_key ~partition ~sim_jobs total;
-      prefix_describe =
-        Printf.sprintf
-          "%d chaos [XS] hosts at wave 1 (%d of %d guests each, partition \
-           %s, %d sim jobs)"
-          hosts per1 per (partition_name partition) sim_jobs;
-      prefix_build =
-        (fun () -> fleet_image ~partition ~sim_jobs ~hosts ~per ~per1);
+(* What [resume] passes a suffix: [n] its size knob (each family has
+   its own default), the fault spec and the seed. *)
+type suffix_args = { n : int option; spec : Fault.spec option; seed : int64 }
+
+type family =
+  | Family : {
+      keys : n:int option -> partition:partition -> sim_jobs:int -> 'k list;
+      print : 'k -> string;
+      scan : string -> 'k option;
+          (* may accept non-canonical spellings: [parse] keeps only keys
+             that [print] reproduces exactly *)
+      prefix : 'k -> 'root Prefix.t;
+      suffix : suffix_args -> 'k -> 'root -> piece;
     }
-  in
-  let rel =
-    List.map
-      (fun mode ->
-        {
-          prefix_key = reliability_prefix_key mode;
-          prefix_describe =
-            Printf.sprintf "one warmed-up %s host (reliability cell prefix)"
-              (Mode.name mode);
-          prefix_build = (fun () -> reliability_image mode);
-        })
-      reliability_modes
-  in
-  let drain =
-    let guests = match n with Some v -> v | None -> 500 in
+      -> family
+
+let scan fmt f key = Option.join (Scanf.sscanf_opt key fmt f)
+let positive v = if v > 0 then Some v else None
+
+let scan_fleet fmt key =
+  scan fmt
+    (fun part jobs count ->
+      match partition_of_string part with
+      | Ok partition when jobs > 0 && count > 0 ->
+          Some (partition, jobs, count)
+      | _ -> None)
+    key
+
+let drain_family ~tag ~default_n prefix =
+  Family
     {
-      prefix_key = cluster_drain_prefix_key guests;
-      prefix_describe =
-        Printf.sprintf
-          "spread cluster of %d hosts with %d guests running (drain prefix)"
-          (cluster_hosts ~guests) guests;
-      prefix_build = (fun () -> cluster_drain_image ~guests);
+      keys =
+        (fun ~n ~partition:_ ~sim_jobs:_ ->
+          [ Option.value n ~default:default_n ]);
+      print = drain_key tag;
+      scan =
+        scan "%[^:]:drain@%d%!" (fun t guests ->
+            if String.equal t tag then positive guests else None);
+      prefix;
+      suffix =
+        (fun a _ c ->
+          cluster_drain
+            ~spec:(spec_or ~default:cluster_fault_spec a.spec)
+            ~fault_seed:a.seed c);
     }
-  in
-  let serverless_warm =
-    {
-      prefix_key = serverless_prefix_key serverless_pool_target;
-      prefix_describe =
-        Printf.sprintf
-          "one LightVM host, function-instance pool prefilled to %d \
-           (serverless warm prefix)"
-          serverless_pool_target;
-      prefix_build = (fun () -> serverless_image serverless_pool_target);
-    }
-  in
-  let scale_drain =
-    let guests = match n with Some v -> v | None -> 2000 in
-    {
-      prefix_key = cluster_scale_prefix_key guests;
-      prefix_describe =
-        Printf.sprintf
-          "spread cluster of %d hosts with %d guests running \
-           (cluster-scale drain prefix)"
-          (cluster_scale_hosts ~guests) guests;
-      prefix_build = (fun () -> cluster_scale_drain_image ~guests);
-    }
-  in
-  let day_fleet =
-    let hosts = serverless_fleet_hosts in
-    {
-      prefix_key = serverless_day_prefix_key ~partition ~sim_jobs hosts;
-      prefix_describe =
-        Printf.sprintf
-          "%d LightVM hosts, function-instance pools prefilled to %d each \
-           (serverless-day fleet prefix, partition %s, %d sim jobs)"
-          hosts serverless_pool_target (partition_name partition) sim_jobs;
-      prefix_build = (fun () -> serverless_day_image ~partition ~sim_jobs ());
-    }
-  in
-  scale_prefixes @ [ fleet ] @ rel
-  @ [ drain; scale_drain; serverless_warm; day_fleet ]
 
-let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
-  let avail = prefixes ?n ?partition ?sim_jobs () in
-  match List.find_opt (fun p -> String.equal p.prefix_key key) avail with
-  | None ->
-      Error
-        (Printf.sprintf "unknown prefix %S; available:\n  %s" key
-           (String.concat "\n  " (List.map (fun p -> p.prefix_key) avail)))
-  | Some p -> (
-      match p.prefix_build () with
-      | exception Failure msg -> Error msg
-      | bytes -> (
-          match Snap.save_bytes ~path ~config:key bytes with
-          | Ok () -> Ok p.prefix_describe
-          | Error e -> Error (Snap.error_to_string e)))
-
-(* --- resume: parse the stored key and run the matching suffix. --- *)
-
-let mk_result ~name ~notes series =
-  {
-    name;
-    figure = "snapshot";
-    series;
-    tables = [];
-    notes;
-    prefix_seconds = 0.;
-  }
-
-(* "scale:<mode>@<count>": extend the host by [extra] more guests and
-   render the full curve to count+extra. *)
-let resume_scale ~mode ~count ~extra bytes =
-  match (Snap.thaw bytes : (Engine.saved * (Vmm.t * float array), _) Stdlib.result)
-  with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, (host, lat_prev)) ->
-      let total = count + extra in
-      let lat = Array.make total nan in
-      Array.blit lat_prev 0 lat 0 count;
-      ignore
-        (Engine.resume saved (fun () ->
-             scale_create_range host lat ~from:count ~upto:total;
-             Engine.stop ()));
-      Ok
-        (mk_result ~name:"resume"
-           ~notes:
-             [
-               Printf.sprintf
-                 "resumed %s host at %d guests, extended to %d" (Mode.name mode)
-                 count total;
-             ]
-           (scale_curve_rows ~mode ~counts:[ total ] lat))
-
-(* "scale-fleet:<part>/j<J>@<total>": run wave 2 from the wave-1 image
-   and render the fleet row. *)
-let resume_fleet ~partition ~sim_jobs ~total bytes =
-  match
-    (Snap.thaw bytes
-      : ( Engine.saved * (Vmm.t array * float array array),
-          _ )
-        Stdlib.result)
-  with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, (nodes, lat)) ->
-      let hosts = Array.length nodes in
-      let per = total / hosts in
-      let per1 = max 1 (per / 2) in
-      ignore
-        (Engine.resume ~jobs:sim_jobs saved (fun () ->
-             fleet_wave ~partition nodes lat ~from:per1 ~upto:per;
-             Engine.stop ()));
-      Ok
-        (mk_result ~name:"resume"
-           ~notes:
-             [
-               Printf.sprintf
-                 "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
-                 hosts (per1 + 1) per per;
-             ]
-           [ fleet_row_render ~hosts ~per lat ])
-
-(* "reliability:<mode>": one full fault-injection cell on the warmed
-   host. *)
-let resume_reliability ~mode ~n ~spec ~fault_seed bytes =
-  match (Snap.thaw bytes : (Engine.saved * Vmm.t, _) Stdlib.result) with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, host) ->
-      let label = Printf.sprintf "%s x1" (Mode.name mode) in
-      let injector = Fault.create ~seed:fault_seed spec in
-      let ok = ref 0 and times = ref [] and leaks = ref [] in
-      ignore
-        (Engine.resume saved (fun () ->
-             reliability_attempts ~n ~label ~injector host ok times leaks;
-             Engine.stop ()));
-      let p =
-        reliability_render ~mode ~label ~level:1. ~n ~injector
-          ~prefix_seconds:0. ok times leaks
-      in
-      Ok
-        (mk_result ~name:"resume" ~notes:p.p_notes p.p_series)
-
-(* "cluster:drain@<guests>": drain/rebalance/leak-check under the
-   injected fault spec. *)
-let resume_drain ~spec ~fault_seed bytes =
-  match (Snap.thaw bytes : (Engine.saved * Cluster.t, _) Stdlib.result) with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, c) ->
-      let out = ref None in
-      ignore
-        (Engine.resume saved (fun () ->
-             out := Some (cluster_drain_suffix ~spec ~fault_seed c);
-             Engine.stop ()));
-      let p =
-        match !out with
-        | Some p -> p
-        | None -> failwith "cluster drain: simulation did not complete"
-      in
-      Ok (mk_result ~name:"resume" ~notes:p.p_notes p.p_series)
-
-(* "serverless:warm@<target>": the flagship warm-pool Poisson cell run
-   as a suffix of the prefilled-host image. *)
-let resume_serverless ~requests bytes =
-  match (Snap.thaw bytes : (Engine.saved * Vmm.t, _) Stdlib.result) with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, host) ->
-      let policy = Serverless.Warm_pool in
-      let arrival = Arrival.Poisson { rate = serverless_rate } in
-      let cfg =
-        serverless_config ~arrival ~requests ~policy
-          ~seed:(serverless_cell_seed ~seed:42L 1)
-      in
-      let out = ref None in
-      ignore
-        (Engine.resume saved (fun () ->
-             out := Some (Serverless.run_node cfg host);
-             Engine.stop ()));
-      (match !out with
-      | None -> Error "serverless: simulation did not complete"
-      | Some stats ->
-          let p =
+let catalogue =
+  [
+    Family
+      {
+        keys =
+          (fun ~n ~partition:_ ~sim_jobs:_ ->
+            let counts = scale_counts (Option.value n ~default:10_000) in
+            List.concat_map
+              (fun mode ->
+                List.map (fun c -> (mode, c)) (scale_mode_counts mode counts))
+              scale_modes);
+        print = scale_key;
+        scan =
+          scan "scale:%[^@]@%d%!" (fun slug count ->
+              match (mode_of_slug slug, positive count) with
+              | Some mode, Some count -> Some (mode, count)
+              | _ -> None);
+        prefix = scale_prefix;
+        (* Extend the host by [n] more guests (default a tenth) and
+           render the curve to the new count. *)
+        suffix =
+          (fun a (mode, count) root ->
+            let extra = Option.value a.n ~default:(max 1 (count / 10)) in
+            let total = count + extra in
+            let _, lat = scale_grow root ~upto:total in
+            piece
+              ~series:(scale_curve_rows ~mode ~counts:[ total ] lat)
+              ~notes:
+                [
+                  Printf.sprintf "resumed %s host at %d guests, extended to %d"
+                    (Mode.name mode) count total;
+                ]
+              ());
+      };
+    Family
+      {
+        keys =
+          (fun ~n ~partition ~sim_jobs ->
+            let n = Option.value n ~default:10_000 in
+            [ fleet_key_at ~n ~partition ~sim_jobs ]);
+        print = fleet_key;
+        scan = scan_fleet "scale-fleet:%[^/]/j%d@%d%!";
+        prefix = fleet_prefix;
+        (* The fleet's second wave. *)
+        suffix =
+          (fun _ (partition, _, total) root ->
+            let per = total / scale_partition_hosts in
+            piece
+              ~series:[ fleet_finish ~partition root ]
+              ~notes:
+                [
+                  Printf.sprintf
+                    "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
+                    scale_partition_hosts
+                    (max 1 (per / 2) + 1)
+                    per per;
+                ]
+              ());
+      };
+    Family
+      {
+        keys = (fun ~n:_ ~partition:_ ~sim_jobs:_ -> reliability_modes);
+        print = reliability_key;
+        scan = scan "reliability:%s%!" mode_of_slug;
+        prefix = reliability_prefix;
+        (* One [n]-attempt (default 200) fault-injection cell. *)
+        suffix =
+          (fun a mode ->
+            reliability_cell
+              ~n:(Option.value a.n ~default:200)
+              ~mode
+              ~spec:(spec_or ~default:reliability_default_spec a.spec)
+              ~seed:a.seed ~level:1.);
+      };
+    drain_family ~tag:"cluster" ~default_n:500 cluster_drain_prefix;
+    drain_family ~tag:"cluster-scale" ~default_n:2000
+      cluster_scale_drain_prefix;
+    Family
+      {
+        keys =
+          (fun ~n:_ ~partition:_ ~sim_jobs:_ -> [ serverless_pool_target ]);
+        print = serverless_key;
+        scan = scan "serverless:warm@%d%!" positive;
+        prefix = serverless_prefix;
+        (* The flagship warm-pool Poisson cell, [n] requests (default
+           2000). *)
+        suffix =
+          (fun a _ host ->
+            let policy = Serverless.Warm_pool
+            and arrival = Arrival.Poisson { rate = serverless_rate } in
             serverless_render
               ~label:(serverless_label ~policy ~arrival ~spec:None)
-              ~prefix_seconds:0. stats
-          in
-          Ok (mk_result ~name:"resume" ~notes:p.p_notes p.p_series))
+              (serverless_attempts
+                 ~requests:(Option.value a.n ~default:2000)
+                 ~policy ~arrival
+                 ~seed:(serverless_cell_seed ~seed:a.seed 1)
+                 host));
+      };
+    Family
+      {
+        keys =
+          (fun ~n:_ ~partition ~sim_jobs ->
+            [ (partition, sim_jobs, serverless_fleet_hosts) ]);
+        print = day_key;
+        scan = scan_fleet "serverless-day:%[^/]/j%d@%d%!";
+        prefix = day_prefix;
+        (* The day: [n] requests (default 8000) over the fleet. *)
+        suffix =
+          (fun a (partition, _, _) ->
+            day_fleet ~partition
+              ~requests:(Option.value a.n ~default:8000)
+              ~seed:(serverless_cell_seed ~seed:a.seed 7));
+      };
+  ]
 
-(* "serverless-day:<part>/j<J>@<hosts>": the full-day open-loop fleet
-   cell run as a suffix of the prefilled-fleet image. *)
-let resume_serverless_day ~partition ~sim_jobs ~requests bytes =
-  match
-    (Snap.thaw bytes : (Engine.saved * Vmm.t array, _) Stdlib.result)
-  with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, nodes) ->
-      let hosts = Array.length nodes in
-      let per = max 1 (requests / hosts) in
-      let slots : Serverless.stats option array = Array.make hosts None in
-      ignore
-        (Engine.resume ~jobs:sim_jobs saved (fun () ->
-             serverless_fleet_cells ~partition ~per
-               ~seed:(serverless_cell_seed ~seed:42L 7)
-               ~node:(fun h -> nodes.(h))
-               slots;
-             Engine.stop ()));
-      let p =
-        serverless_fleet_finish
-          ~label:(Printf.sprintf "day fleet x%d warmpool/poisson" hosts)
-          ~prefix_seconds:0. slots
-      in
-      Ok (mk_result ~name:"resume" ~notes:p.p_notes p.p_series)
+let prefixes ?n ?(partition = `Host) ?(sim_jobs = 1) () =
+  List.concat_map
+    (fun (Family f) ->
+      List.map
+        (fun k ->
+          let p = f.prefix k in
+          (Prefix.key p, Prefix.describe p))
+        (f.keys ~n ~partition ~sim_jobs))
+    catalogue
 
-let split_once ~on s =
-  match String.index_opt s on with
-  | None -> None
-  | Some i ->
-      Some
-        ( String.sub s 0 i,
-          String.sub s (i + 1) (String.length s - i - 1) )
+let fork ?n ?spec ?(fault_seed = 42L) key =
+  let args = { n; spec; seed = fault_seed } in
+  let parse (Family f) =
+    match f.scan key with
+    | Some k when String.equal (f.print k) key ->
+        Some (Fork { prefix = f.prefix k; suffix = f.suffix args k })
+    | _ -> None
+  in
+  match List.find_map parse catalogue with
+  | Some f -> Ok f
+  | None -> Error (Printf.sprintf "unrecognised prefix key %S" key)
 
-let parse_fault_spec = function
-  | Some s -> Ok s
-  | None -> (
-      match Fault.parse_spec cluster_fault_spec with
-      | Ok s -> Ok s
-      | Error m -> Error ("cluster_fault_spec: " ^ m))
+let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
+  let avail = List.map fst (prefixes ?n ?partition ?sim_jobs ()) in
+  match fork key with
+  | Ok (Fork { prefix; _ }) when List.exists (String.equal key) avail ->
+      Result.map (fun () -> Prefix.describe prefix) (Prefix.save prefix ~path)
+  | _ ->
+      Error
+        (Printf.sprintf "unknown prefix %S; available:\n  %s" key
+           (String.concat "\n  " avail))
 
-let reliability_spec_default = function
-  | Some s -> Ok s
-  | None -> (
-      match Fault.parse_spec reliability_default_spec with
-      | Ok s -> Ok s
-      | Error m -> Error ("reliability_default_spec: " ^ m))
-
-let resume_from_file ?n ?spec ?(fault_seed = 42L) ~path () =
+let resume_from_file ?n ?spec ?fault_seed ~path () =
   match Snap.load_bytes ~path () with
   | Error e -> Error (Snap.error_to_string e)
   | Ok (key, bytes) -> (
-      let bad () = Error (Printf.sprintf "unrecognised snapshot key %S" key) in
-      match split_once ~on:':' key with
-      | Some ("scale", rest) -> (
-          match split_once ~on:'@' rest with
-          | Some (slug, count) -> (
-              match (mode_of_slug slug, int_of_string_opt count) with
-              | Some mode, Some count ->
-                  let extra =
-                    match n with Some v -> v | None -> max 1 (count / 10)
-                  in
-                  resume_scale ~mode ~count ~extra bytes
-              | _ -> bad ())
-          | None -> bad ())
-      | Some ("scale-fleet", rest) -> (
-          match (split_once ~on:'/' rest : (string * string) option) with
-          | Some (part, rest) -> (
-              match (partition_of_string part, split_once ~on:'@' rest) with
-              | Ok partition, Some (jobs, total)
-                when String.length jobs > 1 && jobs.[0] = 'j' -> (
-                  match
-                    ( int_of_string_opt
-                        (String.sub jobs 1 (String.length jobs - 1)),
-                      int_of_string_opt total )
-                  with
-                  | Some sim_jobs, Some total ->
-                      resume_fleet ~partition ~sim_jobs ~total bytes
-                  | _ -> bad ())
-              | _ -> bad ())
-          | None -> bad ())
-      | Some ("reliability", slug) -> (
-          match (mode_of_slug slug, reliability_spec_default spec) with
-          | Some mode, Ok spec ->
-              let n = match n with Some v -> v | None -> 200 in
-              resume_reliability ~mode ~n ~spec ~fault_seed bytes
-          | None, _ -> bad ()
-          | _, Error m -> Error m)
-      | Some (("cluster" | "cluster-scale"), rest) -> (
-          match (split_once ~on:'@' rest, parse_fault_spec spec) with
-          | Some ("drain", _), Ok spec -> resume_drain ~spec ~fault_seed bytes
-          | _, Error m -> Error m
-          | _ -> bad ())
-      | Some ("serverless", rest) -> (
-          match split_once ~on:'@' rest with
-          | Some ("warm", target) when int_of_string_opt target <> None ->
-              let requests = match n with Some v -> v | None -> 2000 in
-              resume_serverless ~requests bytes
-          | _ -> bad ())
-      | Some ("serverless-day", rest) -> (
-          match (split_once ~on:'/' rest : (string * string) option) with
-          | Some (part, rest) -> (
-              match (partition_of_string part, split_once ~on:'@' rest) with
-              | Ok partition, Some (jobs, hosts)
-                when String.length jobs > 1
-                     && jobs.[0] = 'j'
-                     && int_of_string_opt hosts <> None -> (
-                  match
-                    int_of_string_opt
-                      (String.sub jobs 1 (String.length jobs - 1))
-                  with
-                  | Some sim_jobs ->
-                      let requests =
-                        match n with Some v -> v | None -> 8000
-                      in
-                      resume_serverless_day ~partition ~sim_jobs ~requests
-                        bytes
-                  | None -> bad ())
-              | _ -> bad ())
-          | None -> bad ())
-      | _ -> bad ())
-
-(* ------------------------------------------------------------------ *)
-(* Test and bench hooks: the [~snapshot] toggle of each prefixed family
-   (test/test_checkpoint.ml pins snapshot == unbroken), and the
-   fork-vs-cold pair bench/main.ml times. *)
-
-let scale_mode_curves ?(snapshot = true) ~counts slug =
-  match mode_of_slug slug with
-  | None -> invalid_arg ("scale_mode_curves: unknown mode " ^ slug)
-  | Some mode -> scale_mode_merged ~snapshot ~counts mode
-
-let scale_fleet_row ?(snapshot = true) ~count ~partition ~sim_jobs () =
-  scale_partitioned ~snapshot ~count ~partition ~sim_jobs
-
-let reliability_cell_piece ?(snapshot = true) ~n ~mode:slug ~spec ~seed ~level
-    () =
-  match mode_of_slug slug with
-  | None -> invalid_arg ("reliability_cell_piece: unknown mode " ^ slug)
-  | Some mode -> reliability_cell ~snapshot ~n ~mode ~spec ~seed ~level
-
-let cluster_drain_piece ?(snapshot = true) ~guests ~spec ~fault_seed () =
-  cluster_drain_job ~snapshot ~guests ~spec ~fault_seed ()
-
-(* The bench pair: a cold unbroken run to [n + extra] guests vs a fork
-   of the cached [n]-guest image extended by [extra]. Same final curve
-   (the resume contract), a fraction of the work: the fork pays thaw
-   plus [extra] creations, the cold run pays all [n + extra]. *)
-
-let scale_cold_full ~n ~extra =
-  let total = n + extra in
-  match
-    scale_curve_rows ~mode:Mode.chaos_xs ~counts:[ total ]
-      (scale_mode_lat_unbroken ~mode:Mode.chaos_xs total)
-  with
-  | [ row ] -> row
-  | _ -> assert false
-
-let scale_prefix_warm ~n =
-  let t0 = wall () in
-  ignore (scale_image ~mode:Mode.chaos_xs ~bounds:[ n ] n);
-  wall () -. t0
-
-let scale_fork_suffix ~n ~extra =
-  let bytes = scale_image ~mode:Mode.chaos_xs ~bounds:[ n ] n in
-  let ((saved : Engine.saved), ((host : Vmm.t), lat_prev)) =
-    snap_err "scale image" (Snap.thaw bytes)
-  in
-  let total = n + extra in
-  let lat = Array.make total nan in
-  Array.blit lat_prev 0 lat 0 n;
-  ignore
-    (Engine.resume saved (fun () ->
-         scale_create_range host lat ~from:n ~upto:total;
-         Engine.stop ()));
-  match scale_curve_rows ~mode:Mode.chaos_xs ~counts:[ total ] lat with
-  | [ row ] -> row
-  | _ -> assert false
+      match fork ?n ?spec ?fault_seed key with
+      | Error _ -> Error (Printf.sprintf "unrecognised snapshot key %S" key)
+      | Ok (Fork { prefix; suffix }) ->
+          Result.map
+            (result_of_piece ~name:"resume" ~figure:"snapshot")
+            (Prefix.resume prefix bytes suffix))
 
 (* ------------------------------------------------------------------ *)
 (* The CLI's `serverless` subcommand: one configurable cell from flag
@@ -2880,8 +2379,8 @@ let scale_fork_suffix ~n ~extra =
    follow from rate * duration); otherwise [n] is the request budget
    and the duration follows from the mean rate. *)
 
-let serverless_run ?(snapshot = true) ?n ?duration ?spec
-    ?(fault_seed = 42L) ~arrival ~rate ~policy () =
+let serverless_run ?n ?duration ?spec ?(fault_seed = 42L) ~arrival ~rate
+    ~policy () =
   if rate <= 0. then Error "rate must be positive"
   else
     let requests, period =
@@ -2890,21 +2389,13 @@ let serverless_run ?(snapshot = true) ?n ?duration ?spec
       | None, Some v -> (v, float_of_int v /. rate)
       | None, None -> (2000, 2000. /. rate)
     in
-    match Arrival.of_flag ~rate ~period arrival with
-    | Error m -> Error m
-    | Ok arrival -> (
-        match
-          serverless_cell_piece ~snapshot ~requests ~policy ~arrival ?spec
-            ~seed:fault_seed ()
-        with
-        | Error m -> Error m
-        | Ok p ->
-            Ok
-              {
-                name = "serverless";
-                figure = "Open-loop serverless";
-                series = p.p_series;
-                tables = p.p_tables;
-                notes = p.p_notes;
-                prefix_seconds = p.p_prefix_seconds;
-              })
+    match
+      ( Arrival.of_flag ~rate ~period arrival,
+        Serverless.policy_of_string policy )
+    with
+    | Error m, _ | _, Error m -> Error m
+    | Ok arrival, Ok policy ->
+        Ok
+          (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless"
+             (serverless_cell ~requests ~policy ~arrival ?spec
+                ~seed:fault_seed ()))

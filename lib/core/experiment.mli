@@ -206,12 +206,9 @@ type plan = {
 }
 
 val plans :
-  ?n:int ->
-  ?partition:partition ->
-  ?sim_jobs:int ->
-  unit ->
-  (string * plan) list
-(** Same registry as {!registry}, as plans. *)
+  ?n:int -> ?partition:partition -> ?sim_jobs:int -> unit -> plan list
+(** Same registry as {!registry}, as plans; each is named by its
+    [plan_name]. *)
 
 val reliability_plan :
   ?n:int ->
@@ -266,41 +263,54 @@ val run_plan : ?jobs:int -> plan -> result
     domain) and merge. [registry]'s runners are [run_plan] with the
     default. *)
 
-(** {1 Prefix caching and snapshot/resume}
+(** {1 Prefix catalogue and snapshot/resume}
 
-    The scale, reliability and cluster-drain families declare shared
-    {e boot prefixes}: the part of each job's simulation that is
-    identical across curves (a host booted to N guests, a warmed-up
-    reliability host, the cluster with all its guests running). Each
-    distinct prefix is simulated once per process invocation, captured
-    ({!Lightvm_sim.Engine.run_capture}) and frozen to bytes
-    ({!Lightvm_sim.Checkpoint.freeze}); every consumer — including jobs
-    on different {!Lightvm_sim.Pool} worker domains — thaws its own
-    deep copy and runs only its suffix. A suffix run from a thawed
-    image renders bit-identically to the unbroken simulation
-    (test/test_checkpoint.ml pins this across the jobs x partition
-    matrix); the wall time spent on prefixes is reported out of band as
-    {!result.prefix_seconds}. *)
+    Seven families declare shared {e boot prefixes} ({!Prefix.t}): the
+    part of a job's simulation that is identical across its variants.
+    They are the scale chain (a host booted to 2000, 5000, 10,000
+    guests), the scale fleet at its wave-1 barrier, the warmed-up
+    reliability host, the booted [cluster] and [cluster-scale] drain
+    fleets, the prefilled serverless warm-pool host and the prefilled
+    serverless-day fleet. Each family runs through {!Prefix.run}: each
+    distinct prefix is simulated once per process invocation, frozen,
+    and every consumer — including jobs on different
+    {!Lightvm_sim.Pool} worker domains — forks its own thawed copy and
+    runs only its suffix, rendering bit-identically to the unbroken
+    simulation (test/test_checkpoint.ml pins this for every catalogue
+    key). The wall time spent on prefixes is reported out of band as
+    {!result.prefix_seconds}.
 
-type prefix = {
-  prefix_key : string;
-      (** cache key and on-disk config string, e.g. ["scale:chaos-xs@
-          2000"], ["scale-fleet:host/j1@10000"], ["reliability:xl"],
-          ["cluster:drain@500"] *)
-  prefix_describe : string;  (** one-line human description *)
-  prefix_build : unit -> string;
-      (** simulate (or fetch from the cache) and return frozen image
-          bytes *)
-}
+    One catalogue record per family makes its prefixes addressable by
+    key (["scale:chaos-xs@2000"], ["scale-fleet:host/j1@10000"],
+    ["reliability:xl"], ["cluster:drain@500"],
+    ["cluster-scale:drain@2000"], ["serverless:warm@4"],
+    ["serverless-day:host/j1@4"]): the record holds the key printer and
+    scanner, the typed prefix a key names and the suffix {!resume_from_file}
+    runs on it. *)
+
+type fork =
+  | Fork : { prefix : 'root Prefix.t; suffix : 'root -> piece } -> fork
+      (** A catalogue prefix and its resume suffix: the two halves of one
+          simulation, run by [Prefix.run ~snapshot prefix suffix]. *)
 
 val prefixes :
-  ?n:int -> ?partition:partition -> ?sim_jobs:int -> unit -> prefix list
-(** Every prefix the plans at this scale would use, addressable by
-    name. *)
+  ?n:int ->
+  ?partition:partition ->
+  ?sim_jobs:int ->
+  unit ->
+  (string * string) list
+(** [(key, description)] of every prefix the plans at this scale would
+    use. *)
 
-val prefix_cache_reset : unit -> unit
-(** Drop all cached images (tests and cold-path benchmarks). Must not
-    race in-flight {!prefix.prefix_build} calls. *)
+val fork :
+  ?n:int ->
+  ?spec:Lightvm_sim.Fault.spec ->
+  ?fault_seed:int64 ->
+  string ->
+  (fork, string) Stdlib.result
+(** The catalogue record a key parses under, with its suffix at these
+    parameters (see {!resume_from_file}). Only keys the family's printer
+    reproduces exactly are accepted; anything else is [Error]. *)
 
 val snapshot_to_file :
   ?n:int ->
@@ -310,10 +320,10 @@ val snapshot_to_file :
   path:string ->
   unit ->
   (string, string) Stdlib.result
-(** Build the named prefix and write it to [path] with the versioned
-    {!Lightvm_sim.Checkpoint} header (config = [key]). [Ok] carries the
-    prefix description; [Error] an explanation (unknown key, i/o
-    failure, unquiesced prefix). *)
+(** Build the named prefix (one of {!prefixes} at this scale) and write
+    it to [path] with the versioned {!Lightvm_sim.Checkpoint} header
+    (config = [key]). [Ok] carries the prefix description; [Error] an
+    explanation (unknown key, i/o failure, unquiesced prefix). *)
 
 val resume_from_file :
   ?n:int ->
@@ -323,71 +333,23 @@ val resume_from_file :
   unit ->
   (result, string) Stdlib.result
 (** Load a snapshot written by {!snapshot_to_file} and run the suffix
-    its stored key implies: scale images are extended by [n] more
-    creations (default a tenth) and re-rendered; fleet images run their
-    second wave; reliability images run an [n]-attempt (default 200)
-    fault-injection cell under [spec] (default
-    {!reliability_default_spec}) and [fault_seed]; drain images drain
-    host 0 under [spec] (default {!cluster_fault_spec}). Header
-    mismatches (wrong magic, format version, producing binary) surface
-    as [Error] with the structured reason — never as garbage state. *)
+    its stored key's family declares, [fault_seed] defaulting to 42:
+    - scale images are extended by [n] more creations (default a tenth)
+      and re-rendered;
+    - fleet images run their second wave;
+    - reliability images run an [n]-attempt (default 200)
+      fault-injection cell under [spec] (default
+      {!reliability_default_spec}) and [fault_seed];
+    - [cluster] and [cluster-scale] drain images drain host 0 under
+      [spec] (default {!cluster_fault_spec}) and [fault_seed];
+    - serverless warm images run the warm-pool Poisson cell of [n]
+      requests (default 2000), seeded from [fault_seed];
+    - serverless-day images run the fleet day of [n] requests (default
+      8000), seeded from [fault_seed].
 
-(** {1 Testing and bench hooks}
-
-    Each prefixed family exposes its [~snapshot] toggle: [true] (the
-    plans' default) runs the capture/freeze/thaw/resume path, [false]
-    the original unbroken single-simulation body. The checkpoint test
-    suite asserts both render bit-identically; the bench fork-vs-cold
-    pair times them against each other. *)
-
-val scale_mode_curves :
-  ?snapshot:bool -> counts:int list -> string -> float * labelled list
-(** One scale mode's merged curves, mode by slug (["xl"],
-    ["chaos-xs"], ["chaos-noxs"]). Returns [(prefix_seconds, rows)]. *)
-
-val scale_fleet_row :
-  ?snapshot:bool ->
-  count:int ->
-  partition:partition ->
-  sim_jobs:int ->
-  unit ->
-  float * labelled
-(** The partitioned fleet row: two fan-out waves, snapshot point at the
-    wave-1 barrier. *)
-
-val reliability_cell_piece :
-  ?snapshot:bool ->
-  n:int ->
-  mode:string ->
-  spec:Lightvm_sim.Fault.spec ->
-  seed:int64 ->
-  level:float ->
-  unit ->
-  piece
-(** One reliability cell (mode by slug), forked from the warmed-host
-    image when [snapshot]. *)
-
-val cluster_drain_piece :
-  ?snapshot:bool ->
-  guests:int ->
-  spec:Lightvm_sim.Fault.spec ->
-  fault_seed:int64 ->
-  unit ->
-  piece
-(** The cluster drain job, forked from the booted-cluster image when
-    [snapshot]. *)
-
-val scale_cold_full : n:int -> extra:int -> labelled
-(** Bench baseline: unbroken chaos [XS] run to [n + extra] guests. *)
-
-val scale_prefix_warm : n:int -> float
-(** Build (or fetch) the [n]-guest chaos [XS] image; returns the wall
-    seconds it took — the fork row's [prefix_seconds]. *)
-
-val scale_fork_suffix : n:int -> extra:int -> labelled
-(** Bench fork path: thaw the [n]-guest image and extend by [extra]
-    creations. Renders the same curve as {!scale_cold_full} (the
-    resume contract) for a fraction of the work. *)
+    Header mismatches (wrong magic, format version, producing binary)
+    surface as [Error] with the structured reason — never as garbage
+    state. *)
 
 (** {1 Serverless hooks}
 
@@ -401,7 +363,6 @@ val serverless_rate : float
     reflect queueing, not unbounded overload. *)
 
 val serverless_run :
-  ?snapshot:bool ->
   ?n:int ->
   ?duration:float ->
   ?spec:Lightvm_sim.Fault.spec ->
@@ -417,20 +378,6 @@ val serverless_run :
     arrivals) wins over [n] (a request budget) when both are given.
     [spec] injects creation faults, which surface as failed requests.
     [Error] on an unknown arrival or policy name. *)
-
-val serverless_cell_piece :
-  ?snapshot:bool ->
-  requests:int ->
-  policy:string ->
-  arrival:Lightvm_serverless.Arrival.process ->
-  ?spec:Lightvm_sim.Fault.spec ->
-  seed:int64 ->
-  unit ->
-  (piece, string) Stdlib.result
-(** One family cell with an explicit arrival process and seed;
-    [~snapshot:false] runs warm-pool cells unbroken instead of forking
-    the prefix image (the checkpoint-equality tests pin both paths to
-    the same render). *)
 
 val serverless_fleet :
   requests:int ->

@@ -6,11 +6,15 @@
    structured error instead of deserializing garbage. *)
 
 module E = Lightvm.Experiment
+module Prefix = Lightvm.Prefix
 module Engine = Lightvm_sim.Engine
 module Checkpoint = Lightvm_sim.Checkpoint
 module Fault = Lightvm_sim.Fault
 module Series = Lightvm_metrics.Series
 module Table = Lightvm_metrics.Table
+module Vmm = Lightvm_cluster.Vmm
+module Mode = Lightvm_toolstack.Mode
+module Image = Lightvm_guest.Image
 
 (* Exact (hex) floats, as in test_partition.ml: any numeric divergence
    must show in the digest. [p_prefix_seconds] is wall-clock time and
@@ -39,34 +43,122 @@ let digest_piece (p : E.piece) =
 let parse_spec s =
   match Fault.parse_spec s with Ok s -> s | Error e -> failwith e
 
+(* Run a catalogue key's prefix and resume suffix, forked from the
+   cached image or as one unbroken simulation. *)
+let run_fork ?n ?spec ?fault_seed ~snapshot key =
+  match E.fork ?n ?spec ?fault_seed key with
+  | Error msg -> Alcotest.fail msg
+  | Ok (E.Fork { prefix; suffix }) -> snd (Prefix.run ~snapshot prefix suffix)
+
 (* ------------------------------------------------------------------ *)
-(* Scale: chained images (boot to 300, snapshot, extend to 700,
-   snapshot) must render every count's curve exactly as one unbroken
+(* The catalogue: every prefix the plans use at a small scale, in both
+   partition modes, plus the inputs of the original per-family equality
+   tests — the scale curves (chaos [XS] forked at 300 and grown to 700,
+   xl at 200, chaos [NoXS] at 400), the reliability cells (60 attempts
+   at fault multiplier 1 or 2, two seeds sharing one chaos [XS] image)
+   and the warm-pool serverless cell (200 requests, fault seed 7). Each row's
+   fork must render exactly as its unbroken twin. Rows run in order
+   without a cache reset, so later rows of a key fork the image an
+   earlier row built: forks share no mutable state. *)
+
+let catalogue_rows =
+  let rel_spec mult =
+    Some (Fault.scale (parse_spec E.reliability_default_spec) mult)
+  in
+  let listed =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun partition -> List.map fst (E.prefixes ~n:40 ~partition ()))
+         [ `Host; `None ])
+  in
+  List.map (fun key -> (key, Some 40, None, None)) listed
+  @ [
+      ("scale:chaos-xs@300", Some 400, None, None);
+      ("scale:xl@200", Some 0, None, None);
+      ("scale:chaos-noxs@400", Some 0, None, None);
+      ("reliability:xl", Some 60, rel_spec 1., Some 42L);
+      ("reliability:chaos-xs", Some 60, rel_spec 2., Some 42L);
+      ("reliability:chaos-xs", Some 60, rel_spec 2., Some 7L);
+      ("reliability:chaos-noxs", Some 60, rel_spec 1., Some 42L);
+      ("serverless:warm@4", Some 200, None, Some 7L);
+    ]
+
+let family key = List.hd (String.split_on_char ':' key)
+
+let test_family_snapshot_equal name () =
+  Prefix.reset ();
+  List.iter
+    (fun (key, n, spec, fault_seed) ->
+      if String.equal (family key) name then
+        Alcotest.(check string)
+          (Printf.sprintf "%s n=%s fork = unbroken" key
+             (Option.fold ~none:"-" ~some:string_of_int n))
+          (digest_piece (run_fork ?n ?spec ?fault_seed ~snapshot:false key))
+          (digest_piece (run_fork ?n ?spec ?fault_seed ~snapshot:true key)))
+    catalogue_rows
+
+let catalogue_cases =
+  List.map
+    (fun name ->
+      Alcotest.test_case
+        (name ^ ": snapshot = unbroken")
+        `Slow
+        (test_family_snapshot_equal name))
+    (List.sort_uniq compare
+       (List.map (fun (key, _, _, _) -> family key) catalogue_rows))
+
+(* ------------------------------------------------------------------ *)
+(* Extension chains: a host booted to 300 guests, extended to 700 from
+   its thawed image (the shape of the scale family's 2000 -> 5000 ->
+   10,000 chain), must render every link exactly as one unbroken
    simulation does. *)
 
-let test_scale_snapshot_equal () =
-  E.prefix_cache_reset ();
+let test_extend_chain () =
+  Prefix.reset ();
+  let grow (host, lat_prev) ~upto =
+    let lat = Array.make upto nan in
+    Array.blit lat_prev 0 lat 0 (Array.length lat_prev);
+    for i = Array.length lat_prev to upto - 1 do
+      let t0 = Engine.now () in
+      (match Vmm.vm_create host (Vmm.vm_request Image.daytime) with
+      | Ok vi -> ignore (Vmm.vm_boot host ~domid:vi.Vmm.vi_domid)
+      | Error e -> failwith (Vmm.error_to_string e));
+      lat.(i) <- Engine.now () -. t0
+    done;
+    (host, lat)
+  in
+  let boot =
+    Prefix.boot ~key:"test:chain@300" ~describe:"300 guests" (fun () ->
+        grow (Vmm.create ~mode:Mode.chaos_xs (), [||]) ~upto:300)
+  in
+  let chain =
+    Prefix.extend ~key:"test:chain@700" ~describe:"700 guests" boot
+      (grow ~upto:700)
+  in
+  let render (_, lat) =
+    String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") lat))
+  in
   List.iter
-    (fun (slug, counts) ->
-      let _, unbroken = E.scale_mode_curves ~snapshot:false ~counts slug in
-      let _, forked = E.scale_mode_curves ~snapshot:true ~counts slug in
+    (fun (name, p) ->
       Alcotest.(check string)
-        (slug ^ " snapshot = unbroken")
-        (digest_rows unbroken) (digest_rows forked))
-    [ ("chaos-xs", [ 300; 700 ]); ("xl", [ 200 ]); ("chaos-noxs", [ 400 ]) ]
+        (name ^ " fork = unbroken")
+        (snd (Prefix.run ~snapshot:false p render))
+        (snd (Prefix.run ~snapshot:true p render)))
+    [ ("extended", chain); ("base", boot) ]
 
 (* ------------------------------------------------------------------ *)
-(* Fleet: the partitioned row's snapshot point is the wave-1 barrier.
+(* Fleet: the partitioned row's prefix point is the wave-1 barrier.
    Captured under any (partition, sim_jobs) config, the resumed second
    wave must match the unbroken two-wave run — and every cell of the
    matrix must agree with every other. *)
 
 let test_fleet_snapshot_matrix () =
-  E.prefix_cache_reset ();
-  let count = 240 in
+  Prefix.reset ();
   let digest ~snapshot partition sim_jobs =
-    let _, row = E.scale_fleet_row ~snapshot ~count ~partition ~sim_jobs () in
-    digest_rows [ row ]
+    digest_piece
+      (run_fork ~snapshot
+         (Printf.sprintf "scale-fleet:%s/j%d@240"
+            (E.partition_name partition) sim_jobs))
   in
   let reference = digest ~snapshot:false `Host 1 in
   List.iter
@@ -100,53 +192,26 @@ let prop_drain_snapshot =
   QCheck.Test.make
     ~name:"drain from image = unbroken drain (scaled migrate.corrupt)"
     ~count:5 drain_arb (fun (guests, fault_seed, mult) ->
-      E.prefix_cache_reset ();
+      Prefix.reset ();
       let spec = Fault.scale (parse_spec E.cluster_fault_spec) mult in
-      let unbroken =
-        E.cluster_drain_piece ~snapshot:false ~guests ~spec ~fault_seed ()
+      let run snapshot =
+        digest_piece
+          (run_fork ~spec ~fault_seed ~snapshot
+             (Printf.sprintf "cluster:drain@%d" guests))
       in
-      let forked =
-        E.cluster_drain_piece ~snapshot:true ~guests ~spec ~fault_seed ()
-      in
-      String.equal (digest_piece unbroken) (digest_piece forked))
-
-(* ------------------------------------------------------------------ *)
-(* Reliability: cells forked from one warmed-host image vs unbroken,
-   and — the fork-many contract — two different suffixes thawed from
-   the SAME cached image must each match their unbroken twin: forks
-   share no mutable state. *)
-
-let test_reliability_snapshot_equal () =
-  E.prefix_cache_reset ();
-  let spec = parse_spec E.reliability_default_spec in
-  List.iter
-    (fun (slug, seed, level) ->
-      (* No cache reset between iterations: chaos-xs at two seeds runs
-         both suffixes from the image built on the first hit. *)
-      let cell snapshot =
-        E.reliability_cell_piece ~snapshot ~n:60 ~mode:slug ~spec ~seed
-          ~level ()
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "%s seed=%Ld x%g" slug seed level)
-        (digest_piece (cell false))
-        (digest_piece (cell true)))
-    [
-      ("xl", 42L, 1.); ("chaos-xs", 42L, 2.); ("chaos-xs", 7L, 2.);
-      ("chaos-noxs", 42L, 1.);
-    ]
+      String.equal (run false) (run true))
 
 (* Restore-twice: the same suffix replayed from one image is
    reproducible (thaw makes a fresh copy each time, so the first replay
    cannot have consumed or mutated anything the second needs). *)
 let test_restore_twice () =
-  E.prefix_cache_reset ();
-  let once () = digest_rows [ E.scale_fork_suffix ~n:150 ~extra:15 ] in
-  let first = once () in
-  Alcotest.(check string) "second fork identical" first (once ());
-  Alcotest.(check string) "fork = unbroken"
-    (digest_rows [ E.scale_cold_full ~n:150 ~extra:15 ])
-    first
+  Prefix.reset ();
+  let once snapshot =
+    digest_piece (run_fork ~n:15 ~snapshot "scale:chaos-xs@150")
+  in
+  let first = once true in
+  Alcotest.(check string) "second fork identical" first (once true);
+  Alcotest.(check string) "fork = unbroken" (once false) first
 
 (* ------------------------------------------------------------------ *)
 (* Format hygiene. The header is checked magic-first, then version,
@@ -254,28 +319,88 @@ let test_not_quiesced () =
   | Ok _ -> Alcotest.fail "parked continuation marshalled"
 
 (* ------------------------------------------------------------------ *)
-(* The CLI surface: snapshot_to_file / resume_from_file. A resume from
-   disk must equal the in-process fork (and hence the unbroken run);
-   unknown keys are refused. *)
+(* The CLI surface: snapshot_to_file / resume_from_file. For every key
+   the catalogue lists, a resume from disk must equal the in-process
+   fork (and hence the unbroken run); keys that do not parse are
+   refused with [Error], never an exception. *)
+
+let listed_keys partition = List.map fst (E.prefixes ~n:40 ~partition ())
 
 let test_snapshot_file_roundtrip () =
-  E.prefix_cache_reset ();
-  let path = tmp "lvm_test_scale.lvmsnap" in
-  (match
-     E.snapshot_to_file ~n:150 ~key:"scale:chaos-xs@150" ~path ()
-   with
-  | Ok _description -> ()
-  | Error msg -> Alcotest.fail msg);
-  let resumed () =
-    match E.resume_from_file ~n:15 ~path () with
-    | Ok r -> digest_rows r.E.series
-    | Error msg -> Alcotest.fail msg
-  in
-  let first = resumed () in
-  Alcotest.(check string) "resume twice identical" first (resumed ());
-  Alcotest.(check string) "resume = in-process fork"
-    (digest_rows [ E.scale_fork_suffix ~n:150 ~extra:15 ])
-    first
+  Prefix.reset ();
+  let path = tmp "lvm_test_roundtrip_key.lvmsnap" in
+  List.iter
+    (fun partition ->
+      List.iter
+        (fun key ->
+          (match E.snapshot_to_file ~n:40 ~partition ~key ~path () with
+          | Ok _description -> ()
+          | Error msg -> Alcotest.fail (key ^ ": " ^ msg));
+          let resumed () =
+            match E.resume_from_file ~n:40 ~path () with
+            | Ok r ->
+                digest_piece
+                  {
+                    E.p_series = r.E.series;
+                    p_tables = r.E.tables;
+                    p_notes = r.E.notes;
+                    p_prefix_seconds = 0.;
+                  }
+            | Error msg -> Alcotest.fail (key ^ ": " ^ msg)
+          in
+          let first = resumed () in
+          Alcotest.(check string) (key ^ " resume twice") first (resumed ());
+          Alcotest.(check string)
+            (key ^ " resume = in-process fork")
+            (digest_piece (run_fork ~n:40 ~snapshot:true key))
+            first)
+        (listed_keys partition))
+    [ `Host; `None ];
+  Sys.remove path
+
+(* Every listed key parses back to a prefix under the same key: the
+   family's printer and scanner round-trip. *)
+let test_key_roundtrip () =
+  List.iter
+    (fun key ->
+      match E.fork key with
+      | Ok (E.Fork { prefix; _ }) ->
+          Alcotest.(check string) "printed back" key (Prefix.key prefix)
+      | Error msg -> Alcotest.fail msg)
+    (listed_keys `Host @ listed_keys `None
+    @ List.map fst (E.prefixes ~n:10_000 ~sim_jobs:8 ()))
+
+let malformed_keys =
+  [
+    ""; "scale"; "scale:bogus@10"; "scale:xl@"; "scale:xl@0"; "scale:xl@-5";
+    "scale:xl@+5"; "scale:xl@05"; "scale:xl@1_000"; "scale:xl@10 ";
+    "scale:xl@99999999999999999999999"; "scale-fleet:host/j1@abc";
+    "scale-fleet:both/j1@40"; "scale-fleet:host@40"; "reliability:";
+    "reliability:bogus"; "cluster:drain"; "cluster:drain@"; "cluster:fill@40";
+    "nope:drain@40"; "cluster-scale:drain@x"; "serverless:warm@4x";
+    "serverless:cold@4"; "serverless-day:host/jx@4"; "serverless-day:host/j1";
+    "serverless-day:host/j0@4";
+  ]
+
+let test_malformed_keys_refused () =
+  let path = tmp "lvm_test_malformed.lvmsnap" in
+  List.iter
+    (fun key ->
+      (match E.fork key with
+      | Ok _ -> Alcotest.failf "malformed key %S parsed" key
+      | Error _ -> ());
+      (match E.snapshot_to_file ~n:40 ~key ~path () with
+      | Ok _ -> Alcotest.failf "malformed key %S snapshotted" key
+      | Error _ -> ());
+      (* A well-formed file whose stored key does not parse. *)
+      (match Checkpoint.save ~path ~config:key (1, 2) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+      match E.resume_from_file ~path () with
+      | Ok _ -> Alcotest.failf "malformed key %S resumed" key
+      | Error _ -> ())
+    malformed_keys;
+  Sys.remove path
 
 let test_snapshot_unknown_key () =
   match
@@ -288,17 +413,16 @@ let test_snapshot_unknown_key () =
 let suites =
   [
     ( "checkpoint.prefix",
-      [
-        Alcotest.test_case "scale: snapshot = unbroken" `Slow
-          test_scale_snapshot_equal;
-        Alcotest.test_case "fleet: matrix snapshot = unbroken" `Slow
-          test_fleet_snapshot_matrix;
-        QCheck_alcotest.to_alcotest prop_drain_snapshot;
-        Alcotest.test_case "reliability: forks = unbroken twins" `Slow
-          test_reliability_snapshot_equal;
-        Alcotest.test_case "restore twice from one image" `Quick
-          test_restore_twice;
-      ] );
+      catalogue_cases
+      @ [
+          Alcotest.test_case "extend chain: snapshot = unbroken" `Slow
+            test_extend_chain;
+          Alcotest.test_case "fleet: matrix snapshot = unbroken" `Slow
+            test_fleet_snapshot_matrix;
+          QCheck_alcotest.to_alcotest prop_drain_snapshot;
+          Alcotest.test_case "restore twice from one image" `Quick
+            test_restore_twice;
+        ] );
     ( "checkpoint.format",
       [
         Alcotest.test_case "save/load round trip" `Quick
@@ -311,5 +435,9 @@ let suites =
           test_snapshot_file_roundtrip;
         Alcotest.test_case "unknown prefix key refused" `Quick
           test_snapshot_unknown_key;
+        Alcotest.test_case "key printers and parsers round-trip" `Quick
+          test_key_roundtrip;
+        Alcotest.test_case "malformed keys refused" `Quick
+          test_malformed_keys_refused;
       ] );
   ]

@@ -86,7 +86,8 @@ let test_plan_deterministic name plan () =
 (* Every registry entry, at a scale small enough for the test suite. *)
 let determinism_cases =
   List.map
-    (fun (name, plan) ->
+    (fun (plan : E.plan) ->
+      let name = plan.E.plan_name in
       Alcotest.test_case
         (Printf.sprintf "%s (%d job(s))" name (E.job_count plan))
         `Slow
