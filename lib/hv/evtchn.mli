@@ -4,7 +4,12 @@
     port naming the expected peer ([alloc_unbound]), the peer binds to
     it ([bind_interdomain]), and either side can then [notify] the
     other, which runs the handler the receiving domain registered for
-    its port. *)
+    its port.
+
+    The table is kept per domain, with an index of the unbound ports
+    reserved for each domain, so {!ports_of}, {!close_all} and
+    {!close_peers_of} cost O(the domain's ports + the channels that
+    name it), never a walk of every channel on the host. *)
 
 type t
 
@@ -42,7 +47,9 @@ val close_peers_of : t -> domid:int -> int
     domain's peers hold dangling endpoints no one will ever rebind. *)
 
 val ports_of : t -> domid:int -> port list
+(** The domain's open ports, ascending. *)
 
 val count : t -> int
 (** Open endpoints across all domains (unbound ports count one; a bound
-    pair counts two). For leak accounting — see [Lightvm.Host.resources]. *)
+    pair counts two). O(1). For leak accounting — see
+    [Vmm.resources] and [Vmm.check_leak]. *)

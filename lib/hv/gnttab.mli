@@ -2,7 +2,12 @@
 
     A domain grants a peer access to one of its frames and hands over
     the grant reference (via XenStore or a noxs device page); the peer
-    maps it. References cannot be revoked while mapped. *)
+    maps it. References cannot be revoked while mapped.
+
+    The table is kept per owning domain, and a domain's death voids
+    the mappings it held through its own record, so {!release_domain}
+    and {!active_grants} cost O(the domain's own entries), never a walk
+    of every grant on the host. *)
 
 type t
 
@@ -27,7 +32,7 @@ val release_domain : t -> domid:int -> int
 (** Domain-death cleanup: drop every entry [domid] owns (the table
     pages are freed with the domain, mapped or not) and release the
     mappings it held on other domains' entries. Returns how many owned
-    entries were dropped. *)
+    entries were dropped. O(those entries). *)
 
 val active_grants : t -> owner:int -> int
 (** Outstanding grant entries owned by [owner]. *)
@@ -35,5 +40,5 @@ val active_grants : t -> owner:int -> int
 val mapped_count : t -> owner:int -> gref -> int
 
 val count : t -> int
-(** Outstanding grant entries across all owners. For leak accounting —
-    see [Lightvm.Host.resources]. *)
+(** Outstanding grant entries across all owners. O(1). For leak
+    accounting — see [Vmm.resources] and [Vmm.check_leak]. *)

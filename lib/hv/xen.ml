@@ -114,12 +114,11 @@ let create_domain t ~name ~vcpus ~mem_mb =
   | Error Frames.ENOMEM -> Error ENOMEM
   | Ok () ->
       t.next_domid <- t.next_domid + 1;
-      let cores = guest_cores t in
       let core =
-        match cores with
-        | [] -> 0
-        | _ ->
-            let core = List.nth cores (t.rr_next mod List.length cores) in
+        match Params.guest_cores t.platform with
+        | 0 -> 0
+        | n ->
+            let core = t.platform.Params.dom0_cores + (t.rr_next mod n) in
             t.rr_next <- t.rr_next + 1;
             core
       in

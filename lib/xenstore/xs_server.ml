@@ -89,6 +89,7 @@ let profile t = t.profile
 let store t = t.store
 let counters t = t.counters
 let watch_count t = Xs_watch.count t.watches
+let watches t = t.watches
 
 let charge ?(category = "xs") t cost =
   t.counters.busy_time <- t.counters.busy_time +. cost;

@@ -64,6 +64,9 @@ val counters : t -> counters
 
 val watch_count : t -> int
 
+val watches : t -> Xs_watch.t
+(** The watch registry, for live-set checks. *)
+
 val op : t -> caller:int -> ?tx:int -> request -> response
 (** Perform one operation as domain [caller]. Blocks (simulated time)
     for queueing plus the operation's cost. [tx] routes reads and

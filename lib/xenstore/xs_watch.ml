@@ -6,6 +6,7 @@ type watch = {
   token : string;
   deliver : event -> unit;
   seq : int; (* registration order; the dispatch order contract *)
+  node : node; (* the trie node holding it *)
 }
 
 (* One trie node per registered path prefix. [here] holds the watches
@@ -14,25 +15,21 @@ type watch = {
    Special paths (@introduceDomain/@releaseDomain) get parent-less
    bucket nodes outside the trie, so the same node/index machinery
    covers them without prefix semantics leaking in. *)
-type node = {
+and node = {
   mutable here : watch list;
   children : (string, node) Hashtbl.t;
   parent : node option; (* None for the root and the special buckets *)
   seg : string; (* key of this node in [parent]'s children *)
 }
 
-(* Per-owner index: every watch of a domain with the node holding it,
-   so quota checks are O(1) and release is O(own watches), not a scan
-   of the registry. *)
-type owner_slot = {
-  mutable n : int;
-  mutable entries : (node * watch) list;
-}
-
+(* Per-owner index: every watch of a domain keyed by its [seq], so the
+   quota check is O(1), dropping one watch is O(1) and release is
+   O(own watches), never a scan of the registry or of the owner's
+   list (Dom0 owns one backend watch per guest device). *)
 type t = {
   root : node;
   specials : (string, node) Hashtbl.t;
-  by_owner : (int, owner_slot) Hashtbl.t;
+  by_owner : (int, (int, watch) Hashtbl.t) Hashtbl.t;
   mutable total : int;
   mutable next_seq : int;
 }
@@ -53,7 +50,7 @@ let count t = t.total
 
 let count_for t ~owner =
   match Hashtbl.find_opt t.by_owner owner with
-  | Some slot -> slot.n
+  | Some slot -> Hashtbl.length slot
   | None -> 0
 
 (* The node a path's watches live at, creating the spine on demand. *)
@@ -102,31 +99,28 @@ let rec prune node =
       prune parent
   | _ -> ()
 
-let slot_for t owner =
-  match Hashtbl.find_opt t.by_owner owner with
-  | Some slot -> slot
-  | None ->
-      let slot = { n = 0; entries = [] } in
-      Hashtbl.replace t.by_owner owner slot;
-      slot
-
 let add t ~owner ~path ~token ~deliver =
-  let w = { owner; path; token; deliver; seq = t.next_seq } in
-  t.next_seq <- t.next_seq + 1;
   let node = node_for t path in
+  let w = { owner; path; token; deliver; seq = t.next_seq; node } in
+  t.next_seq <- t.next_seq + 1;
   node.here <- w :: node.here;
-  let slot = slot_for t owner in
-  slot.n <- slot.n + 1;
-  slot.entries <- (node, w) :: slot.entries;
+  let slot =
+    match Hashtbl.find_opt t.by_owner owner with
+    | Some slot -> slot
+    | None ->
+        let slot = Hashtbl.create 4 in
+        Hashtbl.replace t.by_owner owner slot;
+        slot
+  in
+  Hashtbl.replace slot w.seq w;
   t.total <- t.total + 1
 
 let drop_from_owner t w =
   match Hashtbl.find_opt t.by_owner w.owner with
   | None -> ()
   | Some slot ->
-      slot.entries <- List.filter (fun (_, w') -> w' != w) slot.entries;
-      slot.n <- slot.n - 1;
-      if slot.n = 0 then Hashtbl.remove t.by_owner w.owner
+      Hashtbl.remove slot w.seq;
+      if Hashtbl.length slot = 0 then Hashtbl.remove t.by_owner w.owner
 
 let remove t ~owner ~path ~token =
   match find_node t path with
@@ -154,13 +148,14 @@ let remove_owner t ~owner =
   | None -> 0
   | Some slot ->
       Hashtbl.remove t.by_owner owner;
-      List.iter
-        (fun (node, w) ->
-          node.here <- List.filter (fun w' -> w' != w) node.here;
-          prune node)
-        slot.entries;
-      t.total <- t.total - slot.n;
-      slot.n
+      Hashtbl.iter
+        (fun _ w ->
+          w.node.here <- List.filter (fun w' -> w' != w) w.node.here;
+          prune w.node)
+        slot;
+      let n = Hashtbl.length slot in
+      t.total <- t.total - n;
+      n
 
 let matching t ~modified =
   (* Collect in one pass: a special modified path matches exactly its

@@ -6,8 +6,9 @@
 
     The registry is indexed: a path-segment trie (plus a separate
     bucket per special path) makes {!matching} O(depth of the modified
-    path + matching watches) and a per-owner index makes {!count},
-    {!count_for} and {!remove_owner} O(1)/O(own watches) on the host.
+    path + matching watches) and a per-owner index makes {!count} and
+    {!count_for} O(1), {!remove} O(depth + watches at the path) and
+    {!remove_owner} O(own watches) on the host.
 
     This is a *host-cost* optimisation only. The paper's scalability
     problem — the real xenstored scanning every registered watch on

@@ -216,6 +216,61 @@ let test_distinct_seeds_distinct_outcomes () =
   if String.equal a b then
     Alcotest.fail "seeds 1 and 2 produced identical cluster timelines"
 
+(* Live-set bound: a host held at a constant population must not grow
+   its hypervisor or XenStore teardown state with the number of
+   lifecycles it has run. Domids are never reused, so any index entry
+   keyed by a dead domid that outlives [Xen.destroy] shows up here as
+   growth between k and 2k lifecycles. *)
+let live_words host =
+  let xen = Vmm.xen host in
+  let xs = Lightvm_toolstack.Toolstack.xs_server (Vmm.toolstack host) in
+  [
+    ("evtchn", Obj.reachable_words (Obj.repr (Lightvm_hv.Xen.evtchn xen)));
+    ("gnttab", Obj.reachable_words (Obj.repr (Lightvm_hv.Xen.gnttab xen)));
+    ( "watches",
+      Obj.reachable_words
+        (Obj.repr (Lightvm_xenstore.Xs_server.watches xs)) );
+  ]
+
+let test_live_set_flat mode () =
+  let population = 50 and k = 100 in
+  let host = Vmm.create ~mode () in
+  let launch () =
+    match Vmm.vm_create host (Vmm.vm_request ~nics:1 Image.daytime) with
+    | Error e -> Alcotest.failf "create: %s" (Vmm.error_to_string e)
+    | Ok vi -> (
+        let domid = vi.Vmm.vi_domid in
+        match Vmm.vm_boot host ~domid with
+        | Ok () -> domid
+        | Error e -> Alcotest.failf "boot: %s" (Vmm.error_to_string e))
+  in
+  let live = Queue.create () in
+  let cycle n =
+    for _ = 1 to n do
+      (match Vmm.vm_delete host ~domid:(Queue.pop live) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "delete: %s" (Vmm.error_to_string e));
+      Queue.push (launch ()) live
+    done
+  in
+  let after_k, after_2k =
+    run_sim (fun () ->
+        for _ = 1 to population do
+          Queue.push (launch ()) live
+        done;
+        cycle k;
+        let wk = live_words host in
+        cycle k;
+        (wk, live_words host))
+  in
+  List.iter2
+    (fun (name, wk) (_, w2k) ->
+      if float_of_int (abs (w2k - wk)) > 0.01 *. float_of_int wk then
+        Alcotest.failf
+          "%s live set moved from %d to %d words (%d -> %d lifecycles)" name
+          wk w2k k (2 * k))
+    after_k after_2k
+
 let suites =
   [
     ( "cluster.scheduler",
@@ -231,6 +286,13 @@ let suites =
       [
         Alcotest.test_case "drain under migrate.corrupt is leak-free"
           `Slow test_drain_under_fault_leak_free;
+      ] );
+    ( "cluster.live_set",
+      [
+        Alcotest.test_case "chaos [XS] host: teardown state flat" `Quick
+          (test_live_set_flat Mode.chaos_xs);
+        Alcotest.test_case "LightVM host: teardown state flat" `Quick
+          (test_live_set_flat Mode.lightvm);
       ] );
     ( "cluster.determinism",
       [

@@ -161,6 +161,264 @@ let test_gnttab_refcount () =
     (Gnttab.end_access g ~owner:7 gref = Error Gnttab.Still_mapped)
 
 (* ------------------------------------------------------------------ *)
+(* Event channels and grant tables against a whole-table scan *)
+
+(* The obvious implementation: one flat table per resource, every
+   per-domain question answered by folding over all of it. The
+   per-domain tables must agree with it on every return value. *)
+module Scan = struct
+  type chan = Unbound of int (* expected remote *) | Bound of int * int
+
+  type grant = { grantee : int; frame : int; mutable mapped : int }
+
+  type t = {
+    chans : (int * int, chan) Hashtbl.t;
+    next_port : (int, int) Hashtbl.t;
+    grants : (int * int, grant) Hashtbl.t;
+    next_ref : (int, int) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      chans = Hashtbl.create 16;
+      next_port = Hashtbl.create 4;
+      grants = Hashtbl.create 16;
+      next_ref = Hashtbl.create 4;
+    }
+
+  let fresh tbl ~first d =
+    let n = Option.value ~default:first (Hashtbl.find_opt tbl d) in
+    Hashtbl.replace tbl d (n + 1);
+    n
+
+  let alloc_unbound t ~domid ~remote =
+    let port = fresh t.next_port ~first:1 domid in
+    Hashtbl.replace t.chans (domid, port) (Unbound remote);
+    port
+
+  let bind_interdomain t ~domid ~remote ~remote_port =
+    match Hashtbl.find_opt t.chans (remote, remote_port) with
+    | None -> Error Evtchn.Invalid_port
+    | Some (Bound _) -> Error Evtchn.Already_bound
+    | Some (Unbound e) when e <> domid -> Error Evtchn.Wrong_domain
+    | Some (Unbound _) ->
+        let port = fresh t.next_port ~first:1 domid in
+        Hashtbl.replace t.chans (domid, port) (Bound (remote, remote_port));
+        Hashtbl.replace t.chans (remote, remote_port) (Bound (domid, port));
+        Ok port
+
+  let close t ~domid ~port =
+    match Hashtbl.find_opt t.chans (domid, port) with
+    | None -> Error Evtchn.Invalid_port
+    | Some c ->
+        (match c with
+        | Bound (d, p) when Hashtbl.mem t.chans (d, p) ->
+            Hashtbl.replace t.chans (d, p) (Unbound domid)
+        | Bound _ | Unbound _ -> ());
+        Hashtbl.remove t.chans (domid, port);
+        Ok ()
+
+  let ports_of t ~domid =
+    List.sort compare
+      (Hashtbl.fold
+         (fun (d, p) _ acc -> if d = domid then p :: acc else acc)
+         t.chans [])
+
+  let close_all t ~domid =
+    let ports = ports_of t ~domid in
+    List.iter (fun port -> ignore (close t ~domid ~port)) ports;
+    Hashtbl.remove t.next_port domid;
+    List.length ports
+
+  let close_peers_of t ~domid =
+    let stale =
+      Hashtbl.fold
+        (fun key c acc ->
+          match c with
+          | Unbound e when e = domid -> key :: acc
+          | Bound (d, _) when d = domid -> key :: acc
+          | Unbound _ | Bound _ -> acc)
+        t.chans []
+    in
+    List.iter
+      (fun (d, p) -> ignore (close t ~domid:d ~port:p))
+      (List.sort compare stale);
+    List.length stale
+
+  let grant_access t ~owner ~grantee ~frame =
+    let gref = fresh t.next_ref ~first:8 owner in
+    Hashtbl.replace t.grants (owner, gref) { grantee; frame; mapped = 0 };
+    gref
+
+  let map t ~grantee ~owner gref =
+    match Hashtbl.find_opt t.grants (owner, gref) with
+    | None -> Error Gnttab.Invalid_ref
+    | Some g when g.grantee <> grantee -> Error Gnttab.Wrong_domain
+    | Some g ->
+        g.mapped <- g.mapped + 1;
+        Ok g.frame
+
+  let unmap t ~grantee ~owner gref =
+    match Hashtbl.find_opt t.grants (owner, gref) with
+    | None -> Error Gnttab.Invalid_ref
+    | Some g when g.grantee <> grantee -> Error Gnttab.Wrong_domain
+    | Some g when g.mapped = 0 -> Error Gnttab.Not_mapped
+    | Some g ->
+        g.mapped <- g.mapped - 1;
+        Ok ()
+
+  let end_access t ~owner gref =
+    match Hashtbl.find_opt t.grants (owner, gref) with
+    | None -> Error Gnttab.Invalid_ref
+    | Some g when g.mapped > 0 -> Error Gnttab.Still_mapped
+    | Some _ ->
+        Hashtbl.remove t.grants (owner, gref);
+        Ok ()
+
+  let release_domain t ~domid =
+    let owned =
+      Hashtbl.fold
+        (fun (o, r) _ acc -> if o = domid then (o, r) :: acc else acc)
+        t.grants []
+    in
+    List.iter (Hashtbl.remove t.grants) owned;
+    Hashtbl.iter
+      (fun _ g -> if g.grantee = domid then g.mapped <- 0)
+      t.grants;
+    Hashtbl.remove t.next_ref domid;
+    List.length owned
+
+  let active_grants t ~owner =
+    Hashtbl.fold (fun (o, _) _ n -> if o = owner then n + 1 else n) t.grants 0
+
+  let mapped_count t ~owner gref =
+    match Hashtbl.find_opt t.grants (owner, gref) with
+    | None -> 0
+    | Some g -> g.mapped
+end
+
+type table_op =
+  | Alloc_unbound of int * int
+  | Bind of int * int * int
+  | Close of int * int
+  | Close_all of int
+  | Close_peers_of of int
+  | Grant of int * int * int
+  | Map of int * int * int
+  | Unmap of int * int * int
+  | End_access of int * int
+  | Release of int
+
+let show_table_op = function
+  | Alloc_unbound (d, r) -> Printf.sprintf "alloc_unbound %d->%d" d r
+  | Bind (d, r, p) -> Printf.sprintf "bind %d to %d:%d" d r p
+  | Close (d, p) -> Printf.sprintf "close %d:%d" d p
+  | Close_all d -> Printf.sprintf "close_all %d" d
+  | Close_peers_of d -> Printf.sprintf "close_peers_of %d" d
+  | Grant (o, g, f) -> Printf.sprintf "grant %d->%d frame %d" o g f
+  | Map (g, o, r) -> Printf.sprintf "map %d of %d:%d" g o r
+  | Unmap (g, o, r) -> Printf.sprintf "unmap %d of %d:%d" g o r
+  | End_access (o, r) -> Printf.sprintf "end_access %d:%d" o r
+  | Release d -> Printf.sprintf "release %d" d
+
+(* Four domids, Dom0 included; small port and reference ranges so that
+   binds, closes and maps mostly name something that exists. *)
+let table_op_gen =
+  let open QCheck.Gen in
+  let dom = int_range 0 3 and port = int_range 1 5 and gref = int_range 8 12 in
+  frequency
+    [
+      (4, map2 (fun d r -> Alloc_unbound (d, r)) dom dom);
+      (4, map3 (fun d r p -> Bind (d, r, p)) dom dom port);
+      (2, map2 (fun d p -> Close (d, p)) dom port);
+      (1, map (fun d -> Close_all d) dom);
+      (1, map (fun d -> Close_peers_of d) dom);
+      (4, map3 (fun o g f -> Grant (o, g, f)) dom dom (int_range 0 99));
+      (4, map3 (fun g o r -> Map (g, o, r)) dom dom gref);
+      (2, map3 (fun g o r -> Unmap (g, o, r)) dom dom gref);
+      (2, map2 (fun o r -> End_access (o, r)) dom gref);
+      (1, map (fun d -> Release d) dom);
+    ]
+
+let prop_tables_match_scan =
+  QCheck.Test.make
+    ~name:"per-domain evtchn and gnttab agree with a whole-table scan"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) table_op_gen))
+    (fun ops ->
+      let e = Evtchn.create () and g = Gnttab.create () in
+      let m = Scan.create () in
+      let agree what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s diverged" what
+      in
+      List.iter
+        (fun op ->
+          let what = show_table_op op in
+          (match op with
+          | Alloc_unbound (domid, remote) ->
+              agree what
+                (Evtchn.alloc_unbound e ~domid ~remote)
+                (Scan.alloc_unbound m ~domid ~remote)
+          | Bind (domid, remote, remote_port) ->
+              agree what
+                (Evtchn.bind_interdomain e ~domid ~remote ~remote_port)
+                (Scan.bind_interdomain m ~domid ~remote ~remote_port)
+          | Close (domid, port) ->
+              agree what
+                (Evtchn.close e ~domid ~port)
+                (Scan.close m ~domid ~port)
+          | Close_all domid ->
+              agree what (Evtchn.close_all e ~domid) (Scan.close_all m ~domid)
+          | Close_peers_of domid ->
+              agree what
+                (Evtchn.close_peers_of e ~domid)
+                (Scan.close_peers_of m ~domid)
+          | Grant (owner, grantee, frame) ->
+              agree what
+                (Gnttab.grant_access g ~owner ~grantee ~frame)
+                (Scan.grant_access m ~owner ~grantee ~frame)
+          | Map (grantee, owner, gref) ->
+              agree what
+                (Gnttab.map g ~grantee ~owner gref)
+                (Scan.map m ~grantee ~owner gref)
+          | Unmap (grantee, owner, gref) ->
+              agree what
+                (Gnttab.unmap g ~grantee ~owner gref)
+                (Scan.unmap m ~grantee ~owner gref)
+          | End_access (owner, gref) ->
+              agree what
+                (Gnttab.end_access g ~owner gref)
+                (Scan.end_access m ~owner gref)
+          | Release domid ->
+              agree what
+                (Gnttab.release_domain g ~domid)
+                (Scan.release_domain m ~domid));
+          agree (what ^ ": evtchn count") (Evtchn.count e)
+            (Hashtbl.length m.Scan.chans);
+          agree (what ^ ": gnttab count") (Gnttab.count g)
+            (Hashtbl.length m.Scan.grants);
+          for d = 0 to 3 do
+            agree
+              (Printf.sprintf "%s: ports_of %d" what d)
+              (Evtchn.ports_of e ~domid:d)
+              (Scan.ports_of m ~domid:d);
+            agree
+              (Printf.sprintf "%s: active_grants %d" what d)
+              (Gnttab.active_grants g ~owner:d)
+              (Scan.active_grants m ~owner:d);
+            for gref = 8 to 12 do
+              agree
+                (Printf.sprintf "%s: mapped_count %d:%d" what d gref)
+                (Gnttab.mapped_count g ~owner:d gref)
+                (Scan.mapped_count m ~owner:d gref)
+            done
+          done)
+        ops;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Device pages *)
 
 let entry devid =
@@ -353,6 +611,7 @@ let suites =
         Alcotest.test_case "wrong grantee" `Quick test_gnttab_wrong_grantee;
         Alcotest.test_case "refcount" `Quick test_gnttab_refcount;
       ] );
+    ("hv.tables", [ QCheck_alcotest.to_alcotest prop_tables_match_scan ]);
     ( "hv.devpage",
       [
         Alcotest.test_case "flow" `Quick test_devpage_flow;

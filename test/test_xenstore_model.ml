@@ -255,6 +255,15 @@ let prop_watch_matches_model =
                   QCheck.Test.fail_report
                     (Printf.sprintf "remove %d %s diverged" owner
                        (Xs_path.to_string path));
+                (* The per-owner index drops single watches too. *)
+                for o = 0 to 3 do
+                  if
+                    Xs_watch.count_for t ~owner:o
+                    <> Watch_model.count_for model' ~owner:o
+                  then
+                    QCheck.Test.fail_report
+                      (Printf.sprintf "count_for %d diverged after remove" o)
+                done;
                 model'
             | W_remove_owner owner ->
                 let n = Xs_watch.remove_owner t ~owner in
