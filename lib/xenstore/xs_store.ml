@@ -36,15 +36,6 @@ type t = {
   mutable generation : int;
   mutable count : int;
   mutable owned : int IMap.t;
-  mutable memo : (Xs_path.t * Node.t * Node.t) option;
-      (** Single-entry lookup memo: [(path, root, node)] from the last
-          successful walk. Clients overwhelmingly re-touch one key
-          (device state machines poll their own state node), and the
-          node tree is immutable, so the memo is valid exactly while
-          both the path and the root are physically unchanged — two
-          pointer compares instead of a per-segment walk. Any commit
-          that replaces [root] clears it, so it never pins a dead
-          tree. *)
 }
 
 type 'a r = ('a, Xs_error.t) result
@@ -89,9 +80,7 @@ let create () =
              [ ("local", local); ("tool", leaf); ("vm", leaf) ]);
     }
   in
-  let t =
-    { root; generation = 0; count = 5; owned = IMap.empty; memo = None }
-  in
+  let t = { root; generation = 0; count = 5; owned = IMap.empty } in
   adjust_owned t 0 5;
   t
 
@@ -103,16 +92,8 @@ let rec lookup_node node = function
       | Some child -> lookup_node child rest)
 
 let lookup t path =
-  match t.memo with
-  | Some (p, r, node) when p == path && r == t.root -> Some node
-  | _ ->
-      if Xs_path.is_special path then None
-      else (
-        match lookup_node t.root (Xs_path.segments path) with
-        | Some node as found ->
-            t.memo <- Some (path, t.root, node);
-            found
-        | None -> None)
+  if Xs_path.is_special path then None
+  else lookup_node t.root (Xs_path.segments path)
 
 let exists t path = Option.is_some (lookup t path)
 
@@ -200,7 +181,6 @@ let update t ~caller path ~(f : Node.t option -> (Node.t, Xs_error.t) result)
         | Error e -> Error e
         | Ok root' ->
             t.root <- root';
-            t.memo <- None;
             t.generation <- t.generation + 1;
             List.iter
               (fun owner ->
@@ -211,7 +191,7 @@ let update t ~caller path ~(f : Node.t option -> (Node.t, Xs_error.t) result)
         | exception Xs_error.Error e -> Error e)
   end
 
-let write_generic t ~caller path value =
+let write t ~caller path value =
   update t ~caller path ~f:(fun existing ->
       match existing with
       | Some node ->
@@ -220,81 +200,6 @@ let write_generic t ~caller path value =
           else Error Xs_error.EACCES
       | None ->
           Ok (Node.make ~value ~perms:(Xs_perms.owned_default caller)))
-
-(* Overwriting an existing node is the dominant write shape (device
-   state machines and per-domain bookkeeping rewrite the same keys),
-   and it needs none of [update]'s machinery: nothing is created, so no
-   quota/ownership accounting, no per-level [result] boxing and no
-   created-node list — just rebuild the spine. Any missing segment
-   falls back to the generic path, which keeps the two observably
-   identical (same permission checks, same errors). *)
-exception Missing
-
-exception Unchanged
-
-let write_slow t ~caller path value =
-  if Xs_path.is_special path then Error Xs_error.EINVAL
-  else
-    match Xs_path.segments path with
-    | [] -> Error Xs_error.EINVAL
-    | segs -> (
-        let rec overwrite (node : Node.t) = function
-          | [] -> assert false
-          | [ last ] -> (
-              match SMap.find_opt last node.Node.children with
-              | None -> raise_notrace Missing
-              | Some leaf ->
-                  if Xs_perms.can_write (Node.perms leaf) ~domid:caller then
-                    if String.equal (Node.value leaf) value then
-                      (* Same-value refresh (clients re-assert keys they
-                         already own, as oxenstored also special-cases):
-                         the tree after the rebuild would be structurally
-                         identical, so skip it. The write still counts —
-                         generation bumps, watches fire at the server
-                         layer — only the allocation disappears. *)
-                      raise_notrace Unchanged
-                    else
-                      {
-                        node with
-                        Node.children =
-                          SMap.add last
-                            { leaf with Node.value = value }
-                            node.Node.children;
-                      }
-                  else raise_notrace (Xs_error.Error Xs_error.EACCES))
-          | seg :: rest -> (
-              match SMap.find_opt seg node.Node.children with
-              | None -> raise_notrace Missing
-              | Some child ->
-                  {
-                    node with
-                    Node.children =
-                      SMap.add seg (overwrite child rest) node.Node.children;
-                  })
-        in
-        match overwrite t.root segs with
-        | root' ->
-            t.root <- root';
-            t.memo <- None;
-            t.generation <- t.generation + 1;
-            Ok ()
-        | exception Unchanged ->
-            t.generation <- t.generation + 1;
-            Ok ()
-        | exception Missing -> write_generic t ~caller path value
-        | exception Xs_error.Error e -> Error e)
-
-let write t ~caller path value =
-  match t.memo with
-  | Some (p, r, leaf)
-    when p == path && r == t.root
-         && Xs_perms.can_write (Node.perms leaf) ~domid:caller
-         && String.equal (Node.value leaf) value ->
-      (* Memoized same-value refresh: the tree would come out
-         structurally identical, so only the generation advances. *)
-      t.generation <- t.generation + 1;
-      Ok ()
-  | _ -> write_slow t ~caller path value
 
 let mkdir t ~caller path =
   if exists t path then Ok () (* silent success, like the real daemon *)
@@ -377,7 +282,6 @@ let rm t ~caller path =
                   (count_owners target);
                 t.count <- t.count - Node.subtree_size target;
                 t.root <- root';
-                t.memo <- None;
                 t.generation <- t.generation + 1;
                 Ok ()
             | exception Xs_error.Error e -> Error e))
@@ -412,5 +316,4 @@ let of_snapshot s =
     generation = s.snap_generation;
     count = s.snap_count;
     owned = s.snap_owned;
-    memo = None;
   }

@@ -51,18 +51,10 @@ val read : t -> caller:int -> Xs_path.t -> string r
 val write : t -> caller:int -> Xs_path.t -> string -> unit r
 (** Creates the node (and any missing ancestors, owned by [caller]) if
     needed; requires write permission on the node or, when creating, on
-    the nearest existing ancestor. Overwrites of an existing node take
-    a specialized spine-rebuild path that skips the quota/ownership
-    bookkeeping (nothing is created), and an overwrite with the value
-    the node already holds skips the rebuild entirely (the generation
-    still advances, so transactions and watches observe the write);
-    creating writes go through {!write_generic}. *)
-
-val write_generic : t -> caller:int -> Xs_path.t -> string -> unit r
-(** The general functional-update implementation of {!write}: handles
-    node creation and all accounting. [write] delegates to it whenever
-    any path segment is missing; it is exported as the reference side
-    of the bench pair pinning the overwrite fast path. *)
+    the nearest existing ancestor. One functional update rebuilds the
+    spine from the root, whether the write creates, overwrites or
+    re-asserts the value already held; the generation advances on every
+    successful write, so transactions and watches observe each one. *)
 
 val mkdir : t -> caller:int -> Xs_path.t -> unit r
 (** Like [write] with an empty value, but succeeds silently when the

@@ -83,7 +83,11 @@ exception Malformed of string
 let payload_bytes strings =
   List.fold_left (fun acc s -> acc + String.length s + 1) 0 strings
 
-let fill buf op ~req_id ~tx_id strings ~len =
+let pack op ~req_id ~tx_id strings =
+  let len = payload_bytes strings in
+  if len > max_payload then
+    raise (Malformed (Printf.sprintf "payload too large: %d" len));
+  let buf = Bytes.create (header_size + len) in
   Bytes.set_int32_le buf 0 (Int32.of_int (op_to_int op));
   Bytes.set_int32_le buf 4 req_id;
   Bytes.set_int32_le buf 8 tx_id;
@@ -94,35 +98,7 @@ let fill buf op ~req_id ~tx_id strings ~len =
       Bytes.blit_string s 0 buf !pos (String.length s);
       Bytes.set buf (!pos + String.length s) '\000';
       pos := !pos + String.length s + 1)
-    strings
-
-let pack op ~req_id ~tx_id strings =
-  let len = payload_bytes strings in
-  if len > max_payload then
-    raise (Malformed (Printf.sprintf "payload too large: %d" len));
-  let buf = Bytes.create (header_size + len) in
-  fill buf op ~req_id ~tx_id strings ~len;
-  buf
-
-(* A reusable pack buffer for callers that consume each message before
-   producing the next (a xenbus ring slot does exactly this). The
-   returned bytes are the scratch itself — longer than the message; the
-   header's [len] bounds what a reader may look at — and are only valid
-   until the next [pack_into] on the same scratch. *)
-type scratch = { mutable scratch_buf : Bytes.t }
-
-let scratch () = { scratch_buf = Bytes.create 256 }
-
-let pack_into scratch op ~req_id ~tx_id strings =
-  let len = payload_bytes strings in
-  if len > max_payload then
-    raise (Malformed (Printf.sprintf "payload too large: %d" len));
-  let need = header_size + len in
-  if Bytes.length scratch.scratch_buf < need then
-    scratch.scratch_buf <-
-      Bytes.create (max need (2 * Bytes.length scratch.scratch_buf));
-  let buf = scratch.scratch_buf in
-  fill buf op ~req_id ~tx_id strings ~len;
+    strings;
   buf
 
 let unpack_header buf =
@@ -132,11 +108,14 @@ let unpack_header buf =
   match op_of_int opcode with
   | None -> raise (Malformed (Printf.sprintf "unknown op %d" opcode))
   | Some op ->
+      let len = Int32.to_int (Bytes.get_int32_le buf 12) in
+      if len < 0 then
+        raise (Malformed (Printf.sprintf "negative length %d" len));
       {
         op;
         req_id = Bytes.get_int32_le buf 4;
         tx_id = Bytes.get_int32_le buf 8;
-        len = Int32.to_int (Bytes.get_int32_le buf 12);
+        len;
       }
 
 let unpack buf =

@@ -52,22 +52,9 @@ val pack : op -> req_id:int32 -> tx_id:int32 -> string list -> bytes
 (** Payload strings are each NUL-terminated. Raises {!Malformed} when
     the payload would exceed {!max_payload}. *)
 
-type scratch
-(** A reusable pack buffer, for callers that consume each message
-    before producing the next (as a xenbus ring slot does). *)
-
-val scratch : unit -> scratch
-
-val pack_into : scratch -> op -> req_id:int32 -> tx_id:int32 ->
-  string list -> bytes
-(** Like {!pack} but encodes into the scratch's buffer, growing it as
-    needed, and returns that buffer without copying. The result may be
-    longer than the message (the header's [len] bounds the payload) and
-    is only valid until the next [pack_into] on the same scratch. *)
-
 val unpack_header : bytes -> header
-(** Reads the first 16 bytes. Raises {!Malformed} on short input or
-    unknown operation. *)
+(** Reads the first 16 bytes. Raises {!Malformed} on short input, an
+    unknown operation or a negative payload length. *)
 
 val unpack : bytes -> header * string list
 (** Full decode; splits the payload on NULs. *)

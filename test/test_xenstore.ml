@@ -209,9 +209,14 @@ let test_store_permissions () =
   Alcotest.check (store_res Alcotest.string) "domain 7 cannot read"
     (Error Xs_error.EACCES)
     (Xs_store.read s ~caller:7 (p "/guest/data"));
+  let generation = Xs_store.generation s and nodes = Xs_store.node_count s in
   Alcotest.check (store_res Alcotest.unit) "domain 7 cannot write"
     (Error Xs_error.EACCES)
     (Xs_store.write s ~caller:7 (p "/guest/data") "stolen");
+  Alcotest.(check int) "rejected write leaves generation" generation
+    (Xs_store.generation s);
+  Alcotest.(check int) "rejected write leaves node count" nodes
+    (Xs_store.node_count s);
   Alcotest.check (store_res Alcotest.unit)
     "domain 7 cannot create under /guest" (Error Xs_error.EACCES)
     (Xs_store.write s ~caller:7 (p "/guest/other") "x")
@@ -467,6 +472,18 @@ let test_wire_malformed () =
   (try
      ignore (Xs_wire.unpack_header (Bytes.create 4));
      Alcotest.fail "short header accepted"
+   with Xs_wire.Malformed _ -> ());
+  (* A length field of 0xffffffff reads as -1 through the signed
+     int32; it must be refused, not decoded as an empty payload. *)
+  let negative = Xs_wire.pack Xs_wire.Read ~req_id:0l ~tx_id:0l [ "a" ] in
+  Bytes.set_int32_le negative 12 (-1l);
+  (try
+     ignore (Xs_wire.unpack_header negative);
+     Alcotest.fail "negative length accepted by unpack_header"
+   with Xs_wire.Malformed _ -> ());
+  (try
+     ignore (Xs_wire.unpack negative);
+     Alcotest.fail "negative length accepted by unpack"
    with Xs_wire.Malformed _ -> ());
   try
     ignore

@@ -139,6 +139,24 @@ let apply_both (store, model) op =
       if real = expected then Ok model
       else Error (Xs_error.EINVAL, "directory diverged at " ^ path))
 
+(* How far a successful [op] on [model] must advance
+   [Xs_store.generation]: every write counts, a same-value one included
+   (the value alphabet repeats, so those occur), as does every rm and
+   every mkdir that creates; reads, listings, a mkdir of an existing
+   node and a failed op leave it alone. *)
+let generation_bump model = function
+  | Op_write _ -> 1
+  | Op_mkdir path -> if SMap.mem path model then 0 else 1
+  | Op_rm path -> if SMap.mem path model then 1 else 0
+  | Op_read _ | Op_dir _ -> 0
+
+let describe = function
+  | Op_write (path, value) -> Printf.sprintf "write %s %S" path value
+  | Op_mkdir path -> "mkdir " ^ path
+  | Op_rm path -> "rm " ^ path
+  | Op_read path -> "read " ^ path
+  | Op_dir path -> "dir " ^ path
+
 let prop_store_matches_model =
   QCheck.Test.make ~name:"store agrees with a reference model" ~count:300
     (QCheck.make QCheck.Gen.(list_size (int_range 1 60) op_gen))
@@ -149,8 +167,15 @@ let prop_store_matches_model =
             (* Final structural check: node counts agree. *)
             Model.count model = Xs_store.node_count store
         | op :: rest -> (
+            let before = Xs_store.generation store in
             match apply_both (store, model) op with
-            | Ok model' -> go model' rest
+            | Ok model' ->
+                let bump = Xs_store.generation store - before
+                and expected = generation_bump model op in
+                if bump = expected then go model' rest
+                else
+                  QCheck.Test.fail_reportf "generation +%d after %s, expected +%d"
+                    bump (describe op) expected
             | Error (_, msg) -> QCheck.Test.fail_report msg)
       in
       go Model.initial ops)
