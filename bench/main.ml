@@ -247,6 +247,11 @@ let gc_add a b =
     gd_major_collections = a.gd_major_collections + b.gd_major_collections;
   }
 
+(* OCaml 5.1's [Gc.quick_stat] advances [minor_words] only at minor
+   collections, so a delta of it counts whole minor heaps; the
+   calling domain's exact count comes from [Gc.minor_words ()]. *)
+let gc_now () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
+
 let gc_delta g0 g1 =
   {
     gd_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
@@ -263,11 +268,11 @@ let gc_note g =
 (* Wrap a job so its start/end timestamps and GC deltas ride along
    with its piece. *)
 let timed job () =
-  let g0 = Gc.quick_stat () in
+  let g0 = gc_now () in
   let t0 = Unix.gettimeofday () in
   let v = job () in
   let t1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
+  let g1 = gc_now () in
   (v, t0, t1, gc_delta g0 g1)
 
 (* Run every curve-job of every experiment. With a pool, all jobs are
@@ -388,18 +393,18 @@ let snapshot_pair_rows =
   | Error msg -> failwith ("snapshot bench: " ^ msg)
   | Ok (E.Fork { prefix; suffix }) ->
       let row (_, p) = List.hd p.E.p_series in
-      let g0 = Gc.quick_stat () in
+      let g0 = gc_now () in
       let t0 = Unix.gettimeofday () in
       let cold = row (Prefix.run ~snapshot:false prefix suffix) in
       let t1 = Unix.gettimeofday () in
-      let g1 = Gc.quick_stat () in
+      let g1 = gc_now () in
       ignore (Prefix.image prefix);
       let prefix_secs = Unix.gettimeofday () -. t1 in
-      let g2 = Gc.quick_stat () in
+      let g2 = gc_now () in
       let t2 = Unix.gettimeofday () in
       let fork = row (Prefix.run ~snapshot:true prefix suffix) in
       let t3 = Unix.gettimeofday () in
-      let g3 = Gc.quick_stat () in
+      let g3 = gc_now () in
       let identical =
         Series.points cold.E.series = Series.points fork.E.series
       in
@@ -425,13 +430,13 @@ let snapshot_pair_rows =
 let serverless_slo_rows, serverless_slo =
   section "serverless SLO summary (requests = 2000)"
     "warm pool beats cold boot at p99; refill contention cedes median";
-  let g0 = Gc.quick_stat () in
+  let g0 = gc_now () in
   let t0 = Unix.gettimeofday () in
   let cold_p99_us, warm_p99_us, pool_hit_rate =
     E.serverless_bench_summary ~requests:2000 ()
   in
   let dt = Unix.gettimeofday () -. t0 in
-  let gc = gc_delta g0 (Gc.quick_stat ()) in
+  let gc = gc_delta g0 (gc_now ()) in
   Printf.printf
     "  cold-boot p99: %10.1f us\n  warm-pool p99: %10.1f us\n\
     \  pool hit rate: %10.3f\n[serverless-slo: %.2f s]\n"

@@ -12,6 +12,7 @@ type t = {
   gnttab : Gnttab.t;
   devpage : Devpage.t;
   cpu : Cpu.t;
+  dom0_cores : int list; (* [0 .. platform.dom0_cores - 1] *)
   domains : (int, Domain.t) Hashtbl.t;
   (* Guest RAM is tracked separately from hypervisor overhead so
      populate/depopulate and the Fig 14 accounting stay exact. *)
@@ -35,7 +36,7 @@ let gnttab t = t.gnttab
 let devpage t = t.devpage
 let hypercalls t = t.hypercalls
 
-let dom0_cores t = List.init t.platform.Params.dom0_cores Fun.id
+let dom0_cores t = t.dom0_cores
 
 let guest_cores t =
   List.init
@@ -79,6 +80,7 @@ let boot ?(platform = Params.xeon_e5_1630) ?(costs = Params.default_costs)
     gnttab = Gnttab.create ();
     devpage = Devpage.create ();
     cpu;
+    dom0_cores = List.init platform.Params.dom0_cores Fun.id;
     domains;
     ram_kb = Hashtbl.create 64;
     pending_mem_kb = Hashtbl.create 64;

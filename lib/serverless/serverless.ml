@@ -130,7 +130,7 @@ let run_open_loop ?control ~gen ~service_rng ~duration ~concurrency
   let rec start_request (idx, arrived, service_s) =
     decr free;
     Engine.spawn
-      ~name:(Printf.sprintf "fn-%d" idx)
+      ~name:("fn-" ^ string_of_int idx)
       (fun () ->
         (if invoke idx service_s then begin
            Quantiles.add latency (Engine.now () -. arrived);
@@ -209,7 +209,7 @@ let run_open_loop ?control ~gen ~service_rng ~duration ~concurrency
 let fn_image = Image.minipython
 
 let vm_invoke host idx service_s =
-  let name = Printf.sprintf "fn-%d" idx in
+  let name = "fn-" ^ string_of_int idx in
   match Vmm.vm_create host (Vmm.vm_request ~name ~nics:0 ~disks:0 fn_image) with
   | Error _ -> false
   | Ok vi ->
@@ -222,7 +222,7 @@ let vm_invoke host idx service_s =
 let container_invoke eng idx service_s =
   match
     Docker.run eng ~image:Layers.micropython_image
-      ~name:(Printf.sprintf "fn-%d" idx) ()
+      ~name:("fn-" ^ string_of_int idx) ()
   with
   | Error _ -> false
   | Ok c ->

@@ -9,6 +9,17 @@ type out_msg = {
 type eng = {
   mutable clock : float;
   heap : (unit -> unit) Heap.t;
+  (* The run queue: same-instant work (spawns and process wakes) in
+     FIFO order, a ring of [rq_len] thunks from [rq_head]. Every entry
+     is due at [clock] and orders after every heap entry due at
+     [clock]: those were pushed before the clock reached this instant
+     (lower seqs), and a same-instant [at]/[after] spills the queue
+     into the heap before pushing (see [schedule_at]). Popping due heap
+     entries first, then the queue, is therefore exactly the heap's
+     (time, seq) order — without a heap push per wake. *)
+  mutable rq : (unit -> unit) array;
+  mutable rq_head : int;
+  mutable rq_len : int;
   mutable stopped : bool;
   mutable horizon : float; (* [run ~until]; infinity when unbounded *)
   mutable wend : float;
@@ -32,6 +43,9 @@ let fresh_eng ?(horizon = infinity) () =
   {
     clock = 0.;
     heap = Heap.create ();
+    rq = Array.make 16 ignore;
+    rq_head = 0;
+    rq_len = 0;
     stopped = false;
     horizon;
     wend = infinity;
@@ -40,6 +54,50 @@ let fresh_eng ?(horizon = infinity) () =
     out_seq = 0;
     outbox = [];
   }
+
+(* The ring's capacity stays a power of two, so wrapping is a mask. *)
+let rq_push eng thunk =
+  let cap = Array.length eng.rq in
+  if eng.rq_len = cap then begin
+    let grown = Array.make (2 * cap) ignore in
+    for i = 0 to cap - 1 do
+      grown.(i) <- eng.rq.((eng.rq_head + i) land (cap - 1))
+    done;
+    eng.rq <- grown;
+    eng.rq_head <- 0
+  end;
+  eng.rq.((eng.rq_head + eng.rq_len) land (Array.length eng.rq - 1)) <- thunk;
+  eng.rq_len <- eng.rq_len + 1
+
+let rq_pop eng =
+  let thunk = eng.rq.(eng.rq_head) in
+  eng.rq.(eng.rq_head) <- ignore;
+  eng.rq_head <- (eng.rq_head + 1) land (Array.length eng.rq - 1);
+  eng.rq_len <- eng.rq_len - 1;
+  thunk
+
+(* Nothing else can run at this instant: the next pop would advance
+   the clock. *)
+let idle_now eng =
+  eng.rq_len = 0
+  && (Heap.is_empty eng.heap || Heap.next_time eng.heap > eng.clock)
+
+(* Move the queue into the heap at the clock, in FIFO order: the fresh
+   seqs keep it behind the heap entries already due and ahead of any
+   later push. *)
+let spill eng =
+  while eng.rq_len > 0 do
+    ignore (Heap.push eng.heap ~time:eng.clock (rq_pop eng))
+  done
+
+let schedule_at eng time thunk =
+  if time < eng.clock then
+    invalid_arg
+      (Printf.sprintf "Sim.Engine: scheduling in the past (%g < %g)" time
+         eng.clock);
+  (* A same-instant heap push orders after everything queued. *)
+  if time = eng.clock then spill eng;
+  Heap.push eng.heap ~time thunk
 
 type token = (unit -> unit) Heap.entry * eng
 
@@ -67,6 +125,42 @@ type pctx = {
    fault injector) add their own cases without the engine knowing. *)
 type process_local = ..
 
+(* One record per process, allocated when it first runs. Entering it
+   ([enter]) makes it the domain's current process; every way control
+   leaves it — a park, a return, an exception — goes through one of
+   its handlers, which [leave] it again, so identity needs no
+   closure-based protection. Processes are only ever entered from the
+   event loop (a spawn, a queued wake, a sleep timer), so leaving
+   always returns to the engine's own identity. The sleep machinery is
+   preallocated here:
+   a slow [sleep] performs the payload-free [Sleep] effect with the
+   wake time in [sleep_until], and the handler schedules [wake]. *)
+type proc = {
+  pid : int;
+  pname : string;
+  home : eng; (* the partition the process lives in *)
+  mutable locals : process_local list; (* saved while not running *)
+  mutable park_seq : int; (* bumped by each generic resume: one-shot *)
+  mutable sleep_until : float;
+  mutable sleeper : (unit, unit) Effect.Deep.continuation option;
+  mutable wake : unit -> unit; (* the sleep timer's thunk *)
+  mutable cont : unit -> unit; (* queued continuation of a sleep *)
+}
+
+(* Callbacks and code outside any process run as this record. *)
+let engine_proc =
+  {
+    pid = 0;
+    pname = "engine";
+    home = fresh_eng ();
+    locals = [];
+    park_seq = 0;
+    sleep_until = 0.;
+    sleeper = None;
+    wake = ignore;
+    cont = ignore;
+  }
+
 (* All engine bookkeeping is domain-local: a domain drives (at most)
    one engine at a time, and engines on different domains never share
    state, which is what lets Pool run independent experiments in
@@ -79,9 +173,9 @@ type dls = {
   mutable current : eng option;
   mutable pctx : pctx option;
   mutable cur_idx : int; (* partition index the domain is executing *)
-  mutable current_pid : int;
-  mutable current_pname : string;
+  mutable cur : proc;
   mutable plocals : process_local list;
+  mutable ambient : process_local list; (* the loop's, while [cur] runs *)
   mutable hooks : trace_hooks option;
 }
 
@@ -91,9 +185,9 @@ let dls_key =
         current = None;
         pctx = None;
         cur_idx = 0;
-        current_pid = 0;
-        current_pname = "engine";
+        cur = engine_proc;
         plocals = [];
+        ambient = [];
         hooks = None;
       })
 
@@ -101,9 +195,9 @@ let dls () = Domain.DLS.get dls_key
 
 let set_trace_hooks h = (dls ()).hooks <- h
 
-let self_pid () = (dls ()).current_pid
+let self_pid () = (dls ()).cur.pid
 
-let self_name () = (dls ()).current_pname
+let self_name () = (dls ()).cur.pname
 
 let get_eng () =
   match (dls ()).current with
@@ -121,13 +215,6 @@ let partition_count () =
   | None -> 0
   | Some ctx -> Array.length ctx.engs - 1
 
-let schedule_at eng time thunk =
-  if time < eng.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.Engine: scheduling in the past (%g < %g)" time
-         eng.clock);
-  Heap.push eng.heap ~time thunk
-
 let at time thunk =
   let eng = get_eng () in
   (schedule_at eng time thunk, eng)
@@ -141,30 +228,24 @@ let cancel (entry, eng) = Heap.cancel eng.heap entry
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Sleep : unit Effect.t
 
 let suspend register = Effect.perform (Suspend register)
 
-(* Run [f] with the process identity (and its process-local values) set
-   to [pid]/[name]/[plocals]; restores the caller's identity on return
-   (also on exception), so identity always reflects whichever process
-   the scheduler is actually executing. Reads [dls ()] fresh on both
-   sides: between a park and a resume the process may have moved to a
-   different worker domain. *)
-let as_process pid name plocals f =
+(* Make [p] the running process; [leave] returns to the event loop's
+   identity. Both read [dls ()] fresh: between a park and a resume the
+   process may have moved to a different worker domain. *)
+let enter p =
   let st = dls () in
-  let saved_pid = st.current_pid
-  and saved_name = st.current_pname
-  and saved_plocals = st.plocals in
-  st.current_pid <- pid;
-  st.current_pname <- name;
-  st.plocals <- plocals;
-  Fun.protect
-    ~finally:(fun () ->
-      let st = dls () in
-      st.current_pid <- saved_pid;
-      st.current_pname <- saved_name;
-      st.plocals <- saved_plocals)
-    f
+  st.ambient <- st.plocals;
+  st.cur <- p;
+  st.plocals <- p.locals
+
+let leave () =
+  let st = dls () in
+  st.cur <- engine_proc;
+  st.plocals <- st.ambient;
+  st.ambient <- []
 
 let with_process_local local f =
   let st = dls () in
@@ -179,69 +260,112 @@ let find_process_local sel =
   in
   go (dls ()).plocals
 
+let on_park p =
+  match (dls ()).hooks with Some h -> h.on_park ~pid:p.pid | None -> ()
+
+let on_wake p =
+  match (dls ()).hooks with Some h -> h.on_wake ~pid:p.pid | None -> ()
+
+let continue_sleeper p =
+  match p.sleeper with
+  | None -> assert false (* [wake] fires once per [Sleep] park *)
+  | Some k ->
+      p.sleeper <- None;
+      enter p;
+      Effect.Deep.continue k ()
+
+(* The sleep timer. When nothing else is due at this instant, the
+   queued continuation would be the very next pop, so the process
+   continues inline instead — observably the same schedule. *)
+let wake_sleeper p =
+  on_wake p;
+  if idle_now p.home then continue_sleeper p else rq_push p.home p.cont
+
+let resume_generic p seq k v =
+  if p.park_seq <> seq then
+    invalid_arg "Sim.Engine: one-shot resume called twice";
+  p.park_seq <- seq + 1;
+  if get_eng () != p.home then
+    invalid_arg
+      "Sim.Engine: cross-partition resume — wake a process from its own \
+       partition (via [post]) instead";
+  on_wake p;
+  rq_push p.home (fun () ->
+      enter p;
+      Effect.Deep.continue k v)
+
 (* Each process (the initial [main] and every [spawn]) runs under its own
    deep handler. A blocked process is represented solely by its captured
-   continuation, stashed wherever [register] put the resume function. *)
+   continuation, stashed in its record (a sleep) or wherever [register]
+   put the resume function. *)
 let exec ?(plocals = []) name f =
   let open Effect.Deep in
   let eng = get_eng () in
   let pid = eng.next_pid in
   eng.next_pid <- pid + 1;
   (match (dls ()).hooks with Some h -> h.on_spawn ~pid ~name | None -> ());
-  as_process pid name plocals (fun () ->
-      match_with f ()
-        {
-          retc = (fun () -> ());
-          exnc =
-            (fun e ->
-              (match e with
-              | Stack_overflow | Out_of_memory -> ()
-              | _ ->
-                  Printf.eprintf "Sim process %S raised: %s\n%!" name
-                    (Printexc.to_string e));
-              raise e);
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Suspend register ->
-                  Some
-                    (fun (k : (a, unit) continuation) ->
-                      let st = dls () in
-                      (match st.hooks with
-                      | Some h -> h.on_park ~pid
-                      | None -> ());
-                      (* The process's home partition and its local
-                         values at park time travel with the
-                         continuation. *)
-                      let home = get_eng () in
-                      let pl = st.plocals in
-                      let fired = ref false in
-                      register (fun v ->
-                          if !fired then
-                            invalid_arg
-                              "Sim.Engine: one-shot resume called twice";
-                          fired := true;
-                          let cur = get_eng () in
-                          if cur != home then
-                            invalid_arg
-                              "Sim.Engine: cross-partition resume — wake \
-                               a process from its own partition (via \
-                               [post]) instead";
-                          (match (dls ()).hooks with
-                          | Some h -> h.on_wake ~pid
-                          | None -> ());
-                          ignore
-                            (schedule_at home home.clock (fun () ->
-                                 as_process pid name pl (fun () ->
-                                     continue k v)))))
-              | _ -> None);
-        })
+  let p =
+    {
+      pid;
+      pname = name;
+      home = eng;
+      locals = plocals;
+      park_seq = 0;
+      sleep_until = 0.;
+      sleeper = None;
+      wake = ignore;
+      cont = ignore;
+    }
+  in
+  p.wake <- (fun () -> wake_sleeper p);
+  p.cont <- (fun () -> continue_sleeper p);
+  let sleep_handler =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        on_park p;
+        p.locals <- (dls ()).plocals;
+        p.sleeper <- Some k;
+        leave ();
+        ignore (schedule_at p.home p.sleep_until p.wake))
+  in
+  enter p;
+  match_with f ()
+    {
+      retc = leave;
+      exnc =
+        (fun e ->
+          leave ();
+          (match e with
+          | Stack_overflow | Out_of_memory -> ()
+          | _ ->
+              Printf.eprintf "Sim process %S raised: %s\n%!" name
+                (Printexc.to_string e));
+          raise e);
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Sleep -> sleep_handler
+          | Suspend register ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  on_park p;
+                  (* The process's local values at park time travel
+                     with it; [register] still runs as the process. *)
+                  p.locals <- (dls ()).plocals;
+                  let seq = p.park_seq in
+                  match register (fun v -> resume_generic p seq k v) with
+                  | () -> leave ()
+                  | exception e ->
+                      leave ();
+                      raise e)
+          | _ -> None);
+    }
 
 let spawn ?(name = "anonymous") f =
   let eng = get_eng () in
   let pl = (dls ()).plocals in
-  ignore
-    (schedule_at eng eng.clock (fun () -> exec ~plocals:pl name f))
+  rq_push eng (fun () -> exec ~plocals:pl name f)
 
 (* Cross-partition scheduling. Within a partition (or outside any
    partitioned run) this is just [after]. Across partitions the thunk
@@ -294,20 +418,23 @@ let spawn_in ?(name = "anonymous") ~partition ~delay f =
    cost charge is a sleep), so the common case — nothing else is
    scheduled to run before we would wake — advances the clock in place
    instead of parking through the heap. This is observably equivalent:
-   the suspend path would push a wake entry whose (time, seq) key beats
-   every later push, so when no existing entry has time <= wake the pop
-   order is exactly "resume this task next". The fast path is skipped
-   when process-lifecycle hooks are installed (tracers count park/wake
-   transitions), after [stop] (a parked task must never resume), when
-   waking would cross the [run ~until] horizon (the park-forever
-   behaviour is the contract there), and when waking would cross the
-   current synchronization window (the wake entry must stay in the heap
-   so the next window's start time accounts for it). The window bound
-   is the *virtual* fixed-lookahead round end [vwend], not the possibly
-   grown [wend]: an adaptively grown window relies on the heap's peek
-   times to reconstruct where every fixed-window round boundary would
-   have fallen, so a sleep crossing a virtual boundary must surface as
-   a heap entry exactly as it would under fixed windows. *)
+   the park would push a wake entry whose (time, seq) key beats every
+   later push, so when the run queue is empty and no heap entry has
+   time <= wake the pop order is exactly "resume this task next". The
+   fast path is skipped when process-lifecycle hooks are installed
+   (tracers count park/wake transitions), after [stop] (a parked task
+   must never resume), when waking would cross the [run ~until]
+   horizon (the park-forever behaviour is the contract there), and
+   when waking would cross the current synchronization window (the
+   wake entry must stay in the heap so the next window's start time
+   accounts for it). The window bound is the *virtual* fixed-lookahead
+   round end [vwend], not the possibly grown [wend]: an adaptively
+   grown window relies on the heap's peek times to reconstruct where
+   every fixed-window round boundary would have fallen, so a sleep
+   crossing a virtual boundary must surface as a heap entry exactly as
+   it would under fixed windows. The slow path performs the
+   payload-free [Sleep] effect; the wake time travels in the process
+   record. *)
 let sleep delay =
   if delay < 0. then invalid_arg "Sim.Engine.sleep: negative delay"
   else if delay = 0. then ()
@@ -319,16 +446,18 @@ let sleep delay =
       | None -> invalid_arg "Sim.Engine: no simulation is running"
     in
     let wake = eng.clock +. delay in
-    let idle =
-      Heap.is_empty eng.heap || Heap.next_time eng.heap > wake
-    in
     if
-      idle && st.hooks = None
+      eng.rq_len = 0
+      && (Heap.is_empty eng.heap || Heap.next_time eng.heap > wake)
+      && st.hooks = None
       && (not eng.stopped)
       && wake <= eng.horizon
       && wake < eng.vwend
     then eng.clock <- wake
-    else suspend (fun resume -> ignore (after delay (fun () -> resume ())))
+    else begin
+      if st.cur != engine_proc then st.cur.sleep_until <- wake;
+      Effect.perform Sleep
+    end
   end
 
 let yield () = suspend (fun resume -> ignore (after 0. (fun () -> resume ())))
@@ -362,7 +491,12 @@ type saved = {
   sv_engs : saved_eng array; (* one per partition; plain runs have one *)
 }
 
+(* The run queue is part of the quiesced state (a [stop] can leave
+   same-instant spawns queued): spilled into the heap, its entries take
+   their place in pop order. The engine is done running, so the spill
+   changes nothing it will do. *)
 let harvest eng =
+  spill eng;
   {
     sv_clock = eng.clock;
     sv_next_pid = eng.next_pid;
@@ -387,39 +521,72 @@ let repush eng sv =
     (fun (time, thunk) -> ignore (Heap.push eng.heap ~time thunk))
     sv.sv_events
 
-let run_eng ?until main =
+(* The one event loop, for plain runs and partition windows alike:
+   [eng] becomes the calling domain's engine for its extent, and the
+   domain's engine state and process identity are restored afterwards,
+   also when a process's exception aborts the run. Heap entries due at
+   the current instant run first, then the run queue, then the clock
+   advances to the next heap entry if [admit] lets it in ([false] ends
+   this call; the entry stays in the heap). Queue entries are due at an
+   instant already admitted, so they always run. Peeking ([next_time])
+   before popping keeps a refused event in the heap: a capture taken
+   from a [~until]-bounded run resumes unbounded and still owes it.
+   Nothing here allocates per event. *)
+let drive ~busy ?ctx ?(idx = 0) eng admit =
   let st = dls () in
-  (match st.current with
-  | Some _ -> invalid_arg "Sim.Engine.run: a simulation is already running"
-  | None -> ());
+  (match st.current with Some _ -> invalid_arg busy | None -> ());
+  let ambient = st.plocals in
+  st.current <- Some eng;
+  st.pctx <- ctx;
+  st.cur_idx <- idx;
+  let rec loop () =
+    if eng.stopped then ()
+    else if Heap.is_empty eng.heap then begin
+      if eng.rq_len > 0 then begin
+        (rq_pop eng) ();
+        loop ()
+      end
+    end
+    else begin
+      let t = Heap.next_time eng.heap in
+      if eng.rq_len > 0 && t > eng.clock then begin
+        (rq_pop eng) ();
+        loop ()
+      end
+      else if admit t then begin
+        let thunk = Heap.pop_payload eng.heap in
+        eng.clock <- t;
+        thunk ();
+        loop ()
+      end
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      let st = dls () in
+      st.current <- None;
+      st.pctx <- None;
+      st.cur_idx <- 0;
+      st.cur <- engine_proc;
+      st.plocals <- ambient;
+      eng.wend <- infinity;
+      eng.vwend <- infinity)
+    loop
+
+let run_plain ~busy eng =
+  drive ~busy eng (fun t ->
+      (not (t > eng.horizon))
+      || begin
+           eng.clock <- eng.horizon;
+           false
+         end);
+  eng
+
+let run_eng ?until main =
   let horizon = match until with Some t -> t | None -> infinity in
   let eng = fresh_eng ~horizon () in
-  st.current <- Some eng;
-  Fun.protect
-    ~finally:(fun () -> (dls ()).current <- None)
-    (fun () ->
-      ignore (schedule_at eng 0. (fun () -> exec "main" main));
-      (* Peek ([next_time]) before popping: an event beyond the horizon
-         must stay in the heap, not be popped and dropped — a capture
-         taken from a [~until]-bounded run resumes unbounded and still
-         owes that event. The loop allocates nothing per event:
-         [is_empty]/[next_time]/[pop_payload] replace the option- and
-         pair-returning heap API on this hot path. *)
-      let rec loop () =
-        if eng.stopped || Heap.is_empty eng.heap then ()
-        else begin
-          let time = Heap.next_time eng.heap in
-          if time > horizon then eng.clock <- horizon
-          else begin
-            let thunk = Heap.pop_payload eng.heap in
-            eng.clock <- time;
-            thunk ();
-            loop ()
-          end
-        end
-      in
-      loop ();
-      eng)
+  ignore (schedule_at eng 0. (fun () -> exec "main" main));
+  run_plain ~busy:"Sim.Engine.run: a simulation is already running" eng
 
 let run ?until main = (run_eng ?until main).clock
 
@@ -433,30 +600,10 @@ let run_capture ?until main =
    continues inline into the suffix while those entries wait in the
    heap. *)
 let resume_plain sv main =
-  let st = dls () in
-  (match st.current with
-  | Some _ ->
-      invalid_arg "Sim.Engine.resume: a simulation is already running"
-  | None -> ());
   let eng = restore_eng sv.sv_engs.(0) in
   ignore (schedule_at eng eng.clock (fun () -> exec "main" main));
   repush eng sv.sv_engs.(0);
-  st.current <- Some eng;
-  Fun.protect
-    ~finally:(fun () -> (dls ()).current <- None)
-    (fun () ->
-      let rec loop () =
-        if eng.stopped || Heap.is_empty eng.heap then ()
-        else begin
-          let time = Heap.next_time eng.heap in
-          let thunk = Heap.pop_payload eng.heap in
-          eng.clock <- time;
-          thunk ();
-          loop ()
-        end
-      in
-      loop ();
-      eng)
+  run_plain ~busy:"Sim.Engine.resume: a simulation is already running" eng
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned runs: conservative-synchronization parallel DES.
@@ -487,56 +634,29 @@ let resume_plain sv main =
    protocol would have run it in, so the grown window is bit-identical
    to the sequence of fixed windows it replaces. *)
 let run_window ?grow ctx idx wend =
-  let st = dls () in
-  (match st.current with
-  | Some _ ->
-      invalid_arg "Sim.Engine: a simulation is already running on this domain"
-  | None -> ());
   let eng = ctx.engs.(idx) in
-  st.current <- Some eng;
-  st.pctx <- Some ctx;
-  st.cur_idx <- idx;
-  Fun.protect
-    ~finally:(fun () ->
-      let st = dls () in
-      st.current <- None;
-      st.pctx <- None;
-      st.cur_idx <- 0;
-      eng.wend <- infinity;
-      eng.vwend <- infinity)
-    (fun () ->
-      eng.wend <- (match grow with None -> wend | Some _ -> infinity);
-      eng.vwend <- wend;
-      (* Admit the next event at [t], advancing the virtual round
-         boundary when growing; [false] closes the window. *)
-      let admit t =
-        t < eng.vwend
-        ||
-        match grow with
-        | None -> false
-        | Some limit -> (
-            match eng.outbox with
-            | _ :: _ -> false (* batch closed by a send *)
-            | [] ->
-                t +. ctx.lookahead <= limit
-                && begin
-                     eng.vwend <- t +. ctx.lookahead;
-                     true
-                   end)
-      in
-      let rec loop () =
-        if eng.stopped || Heap.is_empty eng.heap then ()
-        else begin
-          let t = Heap.next_time eng.heap in
-          if t < eng.wend && admit t then begin
-            let thunk = Heap.pop_payload eng.heap in
-            eng.clock <- t;
-            thunk ();
-            loop ()
-          end
-        end
-      in
-      loop ())
+  eng.wend <- (match grow with None -> wend | Some _ -> infinity);
+  eng.vwend <- wend;
+  (* Admit the next event at [t], advancing the virtual round boundary
+     when growing; [false] closes the window. *)
+  let admit t =
+    t < eng.wend
+    && (t < eng.vwend
+       ||
+       match grow with
+       | None -> false
+       | Some limit -> (
+           match eng.outbox with
+           | _ :: _ -> false (* batch closed by a send *)
+           | [] ->
+               t +. ctx.lookahead <= limit
+               && begin
+                    eng.vwend <- t +. ctx.lookahead;
+                    true
+                  end))
+  in
+  drive ~busy:"Sim.Engine: a simulation is already running on this domain"
+    ~ctx ~idx eng admit
 
 (* The round loop shared by [run_partitioned] and [resume]: open a
    window at the earliest pending event, run every partition with work

@@ -166,10 +166,11 @@ val self_name : unit -> string
 (** Name of the calling process ("engine" outside any process). *)
 
 (** Lifecycle callbacks for an external tracer: [on_spawn] fires when a
-    process first executes, [on_park] when it blocks on {!suspend} (and
-    everything built on it), [on_wake] when its resume function is
-    called. The engine never depends on the tracer; hooks default to
-    [None]. *)
+    process first executes, [on_park] when it blocks ({!suspend} and
+    everything built on it, or a {!sleep} — with hooks installed every
+    positive sleep parks), [on_wake] when it becomes runnable again (its
+    resume function is called, or its sleep's timer fires). The engine
+    never depends on the tracer; hooks default to [None]. *)
 type trace_hooks = {
   on_spawn : pid:int -> name:string -> unit;
   on_park : pid:int -> unit;

@@ -28,14 +28,18 @@ let points =
     ("migrate.corrupt", "migration stream corrupted in transfer");
   ]
 
-let point_index =
-  lazy
-    (let h = Hashtbl.create 31 in
-     List.iteri (fun i (name, _) -> Hashtbl.replace h name i) points;
-     h)
-
-let index_of name = Hashtbl.find_opt (Lazy.force point_index) name
+let index_of name = List.find_index (fun (n, _) -> String.equal n name) points
 let is_point name = index_of name <> None
+
+(* A point is its registry index: resolved once where the site is
+   declared, so a check is an array read, not a string hash. *)
+type point = int
+
+let point name =
+  match index_of name with
+  | Some i -> i
+  | None ->
+      invalid_arg (Printf.sprintf "Fault.point: unregistered point %S" name)
 
 (* Spec: configured points in registry order (canonical form). *)
 type spec = (string * schedule) list
@@ -150,7 +154,7 @@ type stream = {
 type t = {
   seed : int64;
   spec : spec;
-  streams : (string, stream) Hashtbl.t;
+  streams : stream option array; (* by point index; [None]: unconfigured *)
 }
 
 (* FNV-1a 64-bit over the point name: a stable, order-independent way
@@ -165,16 +169,17 @@ let fnv1a name =
   !h
 
 let create ?(seed = 0L) spec =
-  let streams = Hashtbl.create 31 in
+  let streams = Array.make (List.length points) None in
   List.iter
     (fun (name, sched) ->
-      Hashtbl.replace streams name
-        {
-          sched;
-          rng = Rng.create (Int64.logxor seed (fnv1a name));
-          checks = 0;
-          injected = 0;
-        })
+      streams.(point name) <-
+        Some
+          {
+            sched;
+            rng = Rng.create (Int64.logxor seed (fnv1a name));
+            checks = 0;
+            injected = 0;
+          })
     spec;
   { seed; spec; streams }
 
@@ -214,13 +219,11 @@ let active () =
   | Some t -> not (spec_is_empty t.spec)
   | None -> false
 
-let fire name =
-  if not (is_point name) then
-    invalid_arg (Printf.sprintf "Fault.fire: unregistered point %S" name);
+let fire point =
   match installed () with
   | None -> false
   | Some t -> (
-      match Hashtbl.find_opt t.streams name with
+      match t.streams.(point) with
       | None -> false
       | Some s ->
           s.checks <- s.checks + 1;
@@ -235,10 +238,12 @@ let fire name =
 let counts t =
   List.filter_map
     (fun (name, _) ->
-      match Hashtbl.find_opt t.streams name with
+      match t.streams.(point name) with
       | Some s -> Some (name, (s.checks, s.injected))
       | None -> None)
     points
 
 let injected_total t =
-  Hashtbl.fold (fun _ s acc -> acc + s.injected) t.streams 0
+  Array.fold_left
+    (fun acc -> function Some s -> acc + s.injected | None -> acc)
+    0 t.streams

@@ -28,13 +28,19 @@ let create ~xen ~xs ~ctrl ~costs =
 
 let ctrl t = t.ctrl
 
+let put_hex_byte b pos byte =
+  Bytes.set b pos "0123456789abcdef".[byte lsr 4];
+  Bytes.set b (pos + 1) "0123456789abcdef".[byte land 0xf]
+
+(* 00:16:3e:xx:xx:xx, the low three bytes from the counter. *)
 let fresh_mac t =
   t.mac_counter <- t.mac_counter + 1;
   let n = t.mac_counter in
-  Printf.sprintf "00:16:3e:%02x:%02x:%02x"
-    ((n lsr 16) land 0xff)
-    ((n lsr 8) land 0xff)
-    (n land 0xff)
+  let b = Bytes.of_string "00:16:3e:00:00:00" in
+  put_hex_byte b 9 ((n lsr 16) land 0xff);
+  put_hex_byte b 12 ((n lsr 8) land 0xff);
+  put_hex_byte b 15 (n land 0xff);
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* XenStore path *)
@@ -111,6 +117,9 @@ let watch_device t ~domid (dev : Device.config) =
 (* ------------------------------------------------------------------ *)
 (* noxs path *)
 
+let gnttab_fault = Fault.point "gnttab.alloc"
+let evtchn_fault = Fault.point "evtchn.alloc"
+
 let precreate_device t ~domid (dev : Device.config) =
   (* The ioctl into the noxs kernel module plus backend-side setup. *)
   Xen.consume_dom0 t.xen t.costs.Costs.backend_ioctl;
@@ -120,7 +129,7 @@ let precreate_device t ~domid (dev : Device.config) =
   Xen.hypercall ~op:"gnttab_op" t.xen ~cost:costs.Params.gnttab_op;
   (* Fault point: the hypercall did its work but the backend's grant
      table is full. Nothing allocated yet, so nothing to undo. *)
-  if Fault.fire "gnttab.alloc" then
+  if Fault.fire gnttab_fault then
     raise (Alloc_failed "grant table full pre-creating device");
   let gref =
     Gnttab.grant_access (Xen.gnttab t.xen)
@@ -137,7 +146,7 @@ let precreate_device t ~domid (dev : Device.config) =
      were already allocated — release them before reporting, so a
      failed pre-creation never leaks Dom0-owned resources (Xen.destroy
      of the guest would not reclaim them). *)
-  if Fault.fire "evtchn.alloc" then begin
+  if Fault.fire evtchn_fault then begin
     Ctrl.unregister t.ctrl ~backend_domid:dev.Device.backend_domid
       ~grant_ref:gref;
     ignore (Gnttab.end_access (Xen.gnttab t.xen) ~owner:dev.Device.backend_domid gref);

@@ -113,7 +113,7 @@ exception Create_failed of string
    dominant operation reports an error after the toolstack has already
    committed to the phase, so the caller must roll back. *)
 let phase_points =
-  Array.init 9 (fun i -> Printf.sprintf "create.phase%d" (i + 1))
+  Array.init 9 (fun i -> Fault.point ("create.phase" ^ string_of_int (i + 1)))
 
 let inject_phase n =
   if Fault.fire phase_points.(n - 1) then
@@ -225,7 +225,7 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
      would make shell names depend on whatever ran earlier in the
      process. *)
   incr env.shells;
-  let shell_name = Printf.sprintf "chaos-shell-%d" !(env.shells) in
+  let shell_name = "chaos-shell-" ^ string_of_int !(env.shells) in
   let mode_attr = ("mode", Mode.name env.mode) in
   (* Phase 1: hypervisor reservation. The domid only exists once the
      reservation succeeds, so it is attached to the span after the fact. *)

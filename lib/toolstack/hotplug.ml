@@ -17,8 +17,10 @@ let estimate kind ~costs (dev : Device.config) =
    wedged script or a lost udev event: the device never comes up and
    the toolstack's watchdog fires after [hotplug_timeout] — the caller
    waits out the timeout but the script burns no Dom0 CPU. *)
+let hang_fault = Fault.point "hotplug.hang"
+
 let attempt kind ~xen ~costs dev =
-  if Fault.fire "hotplug.hang" then begin
+  if Fault.fire hang_fault then begin
     Costs.charge ~category:"devices.hotplug_timeout"
       costs.Costs.hotplug_timeout;
     false

@@ -5,6 +5,7 @@ exception Migration_failed of string
 
 (* Retransfer attempts before giving up on a corrupted stream. *)
 let max_transfer_attempts = 3
+let corrupt_fault = Fault.point "migrate.corrupt"
 
 type stats = {
   total : float;
@@ -45,7 +46,7 @@ let migrate ~src ~dst (created : Create.created) =
   let rec stream attempt =
     Costs.charge ~category:"migrate.transfer"
       (mem_mb /. costs.Costs.migration_bw_mbps);
-    if Fault.fire "migrate.corrupt" then
+    if Fault.fire corrupt_fault then
       if attempt < max_transfer_attempts then begin
         (* Receiver NACK + sender restart: one extra round trip. *)
         Costs.charge ~category:"migrate.handshake" costs.Costs.migration_rtt;

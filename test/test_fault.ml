@@ -91,15 +91,16 @@ let test_scale () =
 
 let test_fire_unregistered_raises () =
   Alcotest.check_raises "typo fails loudly"
-    (Invalid_argument "Fault.fire: unregistered point \"xs.tpyo\"")
-    (fun () -> ignore (Fault.fire "xs.tpyo"))
+    (Invalid_argument "Fault.point: unregistered point \"xs.tpyo\"")
+    (fun () -> ignore (Fault.point "xs.tpyo"))
 
 let test_empty_spec_inert () =
-  Alcotest.(check bool) "no injector: no fire" false (Fault.fire "xs.eagain");
+  let eagain = Fault.point "xs.eagain" in
+  Alcotest.(check bool) "no injector: no fire" false (Fault.fire eagain);
   let inj = Fault.create ~seed:1L Fault.empty_spec in
   Fault.with_injector inj (fun () ->
       Alcotest.(check bool) "not active" false (Fault.active ());
-      Alcotest.(check bool) "empty spec: no fire" false (Fault.fire "xs.eagain"));
+      Alcotest.(check bool) "empty spec: no fire" false (Fault.fire eagain));
   Alcotest.(check int) "no counters" 0 (List.length (Fault.counts inj));
   Alcotest.(check int) "nothing injected" 0 (Fault.injected_total inj)
 
